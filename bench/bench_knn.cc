@@ -1,6 +1,7 @@
 // Extension bench: k-nearest-neighbour search with the CBB-aware MINDIST
-// bound (rtree/knn.h) — node pops and leaf accesses vs the classic bound,
-// per variant, on the neuroscience workload where dead space dominates.
+// bound (rtree/traversal.h KnnWalk) — node pops and leaf accesses vs the
+// classic bound, per variant, on the neuroscience workload where dead
+// space dominates.
 #include "common.h"
 
 #include "rtree/query_api.h"

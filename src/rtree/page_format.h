@@ -312,14 +312,7 @@ struct PagedNodeView {
     return v;
   }
 
-  geom::Rect<D> EntryRect(uint32_t i) const {
-    geom::Rect<D> r;
-    for (int d = 0; d < D; ++d) {
-      r.lo[d] = lo[d][i];
-      r.hi[d] = hi[d][i];
-    }
-    return r;
-  }
+  geom::Rect<D> EntryRect(uint32_t i) const { return Soa().EntryRect(i); }
 
   /// Inline clip run as ClipPoints. Scores are synthesised strictly
   /// descending (the stored order), which is the only property the

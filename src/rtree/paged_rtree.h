@@ -53,12 +53,14 @@
 //    than serve a torn-in-time view.
 //
 // Query results, visit order, and logical access counts are identical to
-// the in-memory RTree running the same tree (parity-tested).
+// the in-memory RTree running the same tree: both engines run the one
+// window walk and the one kNN walk of rtree/traversal.h.
 //
-// Thread safety: the read path (RangeQuery/RangeCount/Knn/RunBatch) may
-// be called concurrently from many threads against one PagedRTree — the
-// buffer pool is lock-striped (OpenOptions::pool_shards picks the stripe
-// count), the clip table is compacted at open and read-only afterwards,
+// Thread safety: the read path (RangeQuery/RangeCount/TraverseWindowEmit/
+// Knn, and SpatialEngine batches over them) may be called concurrently
+// from many threads against one PagedRTree — the buffer pool is
+// lock-striped (OpenOptions::pool_shards picks the stripe count), the clip
+// table is compacted at open and read-only afterwards,
 // the sticky io_error flag is atomic, and per-query I/O accounting flows
 // through caller-owned IoStats (per-thread, summed by the batch layer),
 // so counters stay exact without a shared hot counter. Each concurrent
@@ -87,8 +89,6 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <numeric>
-#include <queue>
 #include <span>
 #include <string>
 #include <thread>
@@ -102,11 +102,10 @@
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "rtree/epoch.h"
-#include "rtree/knn.h"
 #include "rtree/page_format.h"
 #include "replica/wal_tailer.h"
-#include "rtree/query_batch.h"
 #include "rtree/serialize.h"
+#include "rtree/traversal.h"
 #include "storage/buffer_pool.h"
 #include "storage/free_page_map.h"
 #include "storage/io_stats.h"
@@ -733,18 +732,71 @@ class PagedRTree {
                     storage::Status* status = nullptr,
                     const SnapshotT* snap = nullptr) {
     if (out) {
-      return TraverseWindowEmit<false>(
+      return TraverseWindowEmit(
           q, MatchAllPred{}, [out](ObjectId id) { out->push_back(id); }, io,
           scratch, status, snap);
     }
-    return TraverseWindowEmit<false>(q, MatchAllPred{}, [](ObjectId) {}, io,
-                                     scratch, status, snap);
+    return TraverseWindowEmit(q, MatchAllPred{}, [](ObjectId) {}, io,
+                              scratch, status, snap);
+  }
+
+  size_t RangeCount(const RectT& q, storage::IoStats* io = nullptr,
+                    TraversalScratch* scratch = nullptr,
+                    storage::Status* status = nullptr,
+                    const SnapshotT* snap = nullptr) {
+    return RangeQuery(q, nullptr, io, scratch, status, snap);
+  }
+
+  /// Window search (rtree/traversal.h WindowWalk) over pool-pinned pages:
+  /// the on-page SoA IntersectsAll kernel runs zero-copy on the frame
+  /// bytes, and `emit(ObjectId)` fires once per leaf entry intersecting
+  /// `window` and satisfying `pred`, in visit order — the same walk, and so
+  /// the same results and logical I/O, as the in-memory tree.
+  ///
+  /// A valid `snap` (PinSnapshot) runs the walk against that pinned epoch
+  /// instead of the live tree — safe concurrently with the writer; results
+  /// equal a serialized run against the epoch's committed state.
+  ///
+  /// Failure semantics: a page that cannot be pinned (after the pool's
+  /// bounded retries) or fails validation abandons the walk; a child
+  /// pointer past the section is skipped and the walk goes on. Either
+  /// reports the error kind and page through `status` (first error wins)
+  /// and latches the sticky io_error flag — except kStaleSnapshot, a
+  /// transient per-pin condition — so callers can tell a truncated result
+  /// set from a small one per query, not just per engine.
+  template <typename Pred, typename Emit>
+  size_t TraverseWindowEmit(const RectT& window, Pred&& pred, Emit&& emit,
+                            storage::IoStats* io = nullptr,
+                            TraversalScratch* scratch = nullptr,
+                            storage::Status* status = nullptr,
+                            const SnapshotT* snap = nullptr) {
+    return Walk(io, scratch, status, snap,
+                [&](auto& src, TraversalScratch* s, storage::Status* st) {
+                  return WindowWalk<D>(src, window, pred, emit, io, s, st);
+                });
+  }
+
+  /// k nearest objects to `q` (rtree/traversal.h KnnWalk), ascending
+  /// squared distance: emits each KnnNeighbor<D> the moment it leaves the
+  /// frontier and returns the number emitted. Snapshot and failure
+  /// semantics as TraverseWindowEmit; `scratch` supplies the page buffer
+  /// of pinned reads.
+  template <typename Emit>
+  size_t Knn(const geom::Vec<D>& q, int k, Emit&& emit,
+             storage::IoStats* io = nullptr,
+             TraversalScratch* scratch = nullptr,
+             storage::Status* status = nullptr,
+             const SnapshotT* snap = nullptr) {
+    return Walk(io, scratch, status, snap,
+                [&](auto& src, TraversalScratch*, storage::Status* st) {
+                  return KnnWalk<D>(src, q, k, emit, io, st);
+                });
   }
 
  private:
   // ---------------------------------------------------- traversal sources
-  // The query bodies below are generic over a *source* that resolves the
-  // tree's shape, node pages, and clip runs. Two implementations:
+  // The page-backed sources of the shared query walks. Node id s lives on
+  // file page 1 + s; both sources decode and validate what they fetch.
   //
   //  * LatestSource — the unpinned path: reads the live superblock, pins
   //    frames in the pool, and consults the live clip table. Behaviour
@@ -761,39 +813,59 @@ class PagedRTree {
   //    Nothing stays pinned: chain hits are stable heap buffers (retained
   //    while the epoch is pinned) and misses land in the caller's buffer.
 
-  struct LatestSource {
+  template <typename Self>
+  struct PageSource {
+    using View = PagedNodeView<D>;
     PagedRTree* t;
     storage::BufferPool::PinIo* pin_io;
-    int64_t root() const { return t->sb_.root_page; }
-    uint64_t section_pages() const { return t->sb_.num_section_pages; }
-    bool clipped() const { return t->clipping_enabled(); }
-    const std::byte* Acquire(storage::PageId fid, storage::Status* st) {
-      return t->pool_->Pin(fid, pin_io, st);
+
+    bool Acquire(int64_t id, View* v, storage::Status* st) {
+      Self& self = static_cast<Self&>(*this);
+      const std::byte* bytes = self.Fetch(1 + id, st);
+      if (!bytes) return false;
+      *v = DecodeNodePage<D>(bytes);
+      if (t->ValidPage(*v)) return true;
+      self.Release(id);  // corrupt counts would walk off the frame
+      *st = {storage::ErrorKind::kCorruptStructure, 1 + id};
+      return false;
     }
-    void Release(storage::PageId fid) {
-      t->pool_->Unpin(fid, false, 0, pin_io);
-    }
-    std::span<const core::ClipPoint<D>> Clips(int64_t node) {
-      return t->clips_->Get(node);
+    storage::Status CheckChild(int64_t parent, int64_t child) const {
+      const auto pages = static_cast<const Self&>(*this).section_pages();
+      if (child >= 0 && child < static_cast<int64_t>(pages)) return {};
+      return {storage::ErrorKind::kCorruptStructure, 1 + parent};
     }
   };
 
-  struct SnapshotSource {
-    PagedRTree* t;
+  struct LatestSource : PageSource<LatestSource> {
+    int64_t root() const { return this->t->sb_.root_page; }
+    uint64_t section_pages() const { return this->t->sb_.num_section_pages; }
+    bool clipped() const { return this->t->clipping_enabled(); }
+    const std::byte* Fetch(storage::PageId fid, storage::Status* st) {
+      return this->t->pool_->Pin(fid, this->pin_io, st);
+    }
+    void Release(int64_t id) {
+      this->t->pool_->Unpin(1 + id, false, 0, this->pin_io);
+    }
+    std::span<const core::ClipPoint<D>> Clips(int64_t node) {
+      return this->t->clips_->Get(node);
+    }
+  };
+
+  struct SnapshotSource : PageSource<SnapshotSource> {
     const SnapshotT* snap;
-    storage::BufferPool::PinIo* pin_io;
     std::vector<std::byte>* page_buf;  // one file page, caller-owned
     typename EpochManager<D>::ClipRun clip_buf;
     int64_t root() const { return snap->view().root_page; }
     uint64_t section_pages() const { return snap->view().num_section_pages; }
     bool clipped() const { return snap->view().clipped; }
-    const std::byte* Acquire(storage::PageId fid, storage::Status* st) {
+    const std::byte* Fetch(storage::PageId fid, storage::Status* st) {
       EpochManager<D>* m = snap->manager();
       if (const auto* pre = m->FindPage(snap->epoch(), fid)) {
         return Resolve(pre, fid, st);
       }
       storage::Status s;
-      if (!t->pool_->ReadPageCopy(fid, page_buf->data(), pin_io, &s)) {
+      if (!this->t->pool_->ReadPageCopy(fid, page_buf->data(), this->pin_io,
+                                        &s)) {
         // A checksum failure on a follower's base read is a torn read
         // racing the live writer's write-back — the same transient the
         // LSN gate below would catch one instant later (the writer only
@@ -803,7 +875,7 @@ class PagedRTree {
             snap->view().follower) {
           s.kind = storage::ErrorKind::kStaleSnapshot;
         }
-        if (st) *st = s;
+        *st = s;
         return nullptr;
       }
       // Copy-then-recheck (see the source comment above): if the copy
@@ -818,7 +890,7 @@ class PagedRTree {
       // observes that state exactly.
       if (snap->view().follower &&
           PageLsn(page_buf->data()) > snap->view().applied_lsn) {
-        if (st) *st = {storage::ErrorKind::kStaleSnapshot, fid};
+        *st = {storage::ErrorKind::kStaleSnapshot, fid};
         return nullptr;
       }
       return page_buf->data();
@@ -829,172 +901,50 @@ class PagedRTree {
     const std::byte* Resolve(const std::vector<std::byte>* pre,
                              storage::PageId fid, storage::Status* st) {
       if (!pre->empty()) return pre->data();
-      if (st) *st = {storage::ErrorKind::kStaleSnapshot, fid};
+      *st = {storage::ErrorKind::kStaleSnapshot, fid};
       return nullptr;
     }
-    void Release(storage::PageId) {}
+    void Release(int64_t) {}
     std::span<const core::ClipPoint<D>> Clips(int64_t node) {
       std::span<const core::ClipPoint<D>> out;
       if (snap->manager()->FindClips(snap->epoch(), node, &out, &clip_buf)) {
         return out;
       }
-      return t->clips_->Get(node);  // read-only open: immutable table
+      return this->t->clips_->Get(node);  // read-only open: immutable table
     }
   };
 
-  /// Window-traversal body, generic over the page/clip source; the public
-  /// TraverseWindowEmit dispatches here (semantics documented there).
-  template <bool PredImpliesIntersect, typename Src, typename Pred,
-            typename Emit>
-  size_t TraverseWindowOver(Src& src, const RectT& window, Pred&& pred,
-                            Emit&& emit, storage::IoStats* io,
-                            TraversalScratch* scratch,
-                            storage::Status* status) {
-    constexpr bool kMatchAll =
-        std::is_same_v<std::decay_t<Pred>, MatchAllPred>;
-    auto& stack = scratch->stack;
-    stack.clear();
-    stack.push_back(src.root());
-    size_t found = 0;
-    while (!stack.empty()) {
-      const storage::PageId id = stack.back();
-      stack.pop_back();
-      storage::Status acq_status;
-      const std::byte* bytes = src.Acquire(1 + id, &acq_status);
-      if (!bytes) {  // unreadable page; abandon the traversal
-        // Stale-snapshot misses are transient per-pin conditions (the
-        // follower's writer raced ahead) — report them without latching
-        // the engine-wide sticky flag.
-        if (acq_status.kind != storage::ErrorKind::kStaleSnapshot) {
-          io_error_.store(true, std::memory_order_relaxed);
-        }
-        if (status) *status = acq_status;
-        break;
-      }
-      const PagedNodeView<D> v = DecodeNodePage<D>(bytes);
-      if (!ValidPage(v)) {  // corrupt counts would walk off the frame
-        io_error_.store(true, std::memory_order_relaxed);
-        if (status) {
-          *status = storage::Status{storage::ErrorKind::kCorruptStructure,
-                                    1 + id};
-        }
-        src.Release(1 + id);
-        break;
-      }
-      uint64_t* mask = scratch->MaskFor(v.n());
-      IntersectsAll<D>(v.Soa(), window, mask, scratch->FlagsFor(v.n()));
-      if (v.IsLeaf()) {
-        if (io) ++io->leaf_accesses;
-        bool contributed = false;
-        for (uint32_t w = 0; w * 64 < v.n(); ++w) {
-          uint64_t m = mask[w];
-          while (m) {
-            const uint32_t i =
-                w * 64 + static_cast<uint32_t>(std::countr_zero(m));
-            m &= m - 1;
-            if (kMatchAll || pred(v.EntryRect(i))) {
-              ++found;
-              contributed = true;
-              emit(static_cast<ObjectId>(v.id[i]));
-            }
-          }
-        }
-        if (io && contributed) ++io->contributing_leaf_accesses;
-      } else {
-        if (io) ++io->internal_accesses;
-        // Same push order as the in-memory traversal (ascending entry
-        // index), so both paths visit nodes and emit results identically.
-        for (uint32_t w = 0; w * 64 < v.n(); ++w) {
-          uint64_t m = mask[w];
-          while (m) {
-            const uint32_t i =
-                w * 64 + static_cast<uint32_t>(std::countr_zero(m));
-            m &= m - 1;
-            const int64_t child = v.id[i];
-            if (child < 0 ||
-                child >= static_cast<int64_t>(src.section_pages())) {
-              // Corrupt child pointer; don't follow it.
-              io_error_.store(true, std::memory_order_relaxed);
-              if (status) {
-                *status = storage::Status{
-                    storage::ErrorKind::kCorruptStructure, 1 + id};
-              }
-              continue;
-            }
-            if (src.clipped()) {
-              if (io) ++io->clip_accesses;
-              if (core::ClipsPruneQuery<D>(src.Clips(child), window)) {
-                continue;
-              }
-            }
-            stack.push_back(child);
-          }
-        }
-      }
-      src.Release(1 + id);
-    }
-    return found;
-  }
-
- public:
-  /// Shared window traversal of the disk-resident engine — the paged twin
-  /// of RTree::TraverseWindowEmit, decoding pool-pinned pages. Visits leaf
-  /// entries intersecting `window` (the on-page SoA IntersectsAll kernel
-  /// runs zero-copy on the pinned frame bytes) and keeps those satisfying
-  /// `pred`; `emit(ObjectId)` fires once per result in visit order. Node
-  /// visit order, results, and logical I/O counts are identical to the
-  /// in-memory tree running the same query (`PredImpliesIntersect` is
-  /// accepted for interface symmetry; the paged path always has the
-  /// bitmask in hand). Point / containment / enclosure predicates run
-  /// through here via the unified query API (rtree/query_api.h).
-  ///
-  /// A valid `snap` (PinSnapshot) runs the traversal against that pinned
-  /// epoch instead of the live tree — safe concurrently with the writer;
-  /// results equal a serialized run against the epoch's committed state.
-  /// Null/invalid `snap` is the latest-epoch path, byte-identical to the
-  /// pre-snapshot engine.
-  ///
-  /// Failure semantics: a page that cannot be pinned (after the pool's
-  /// bounded retries) or fails validation abandons the traversal, latches
-  /// the sticky io_error_ flag, and — when `status` is given — reports the
-  /// error kind and page, so callers can distinguish a truncated result
-  /// set from a small one per query, not just per engine.
-  template <bool PredImpliesIntersect, typename Pred, typename Emit>
-  size_t TraverseWindowEmit(const RectT& window, Pred&& pred, Emit&& emit,
-                            storage::IoStats* io = nullptr,
-                            TraversalScratch* scratch = nullptr,
-                            storage::Status* status = nullptr,
-                            const SnapshotT* snap = nullptr) {
+  /// Runs `walk(src, scratch, &status)` over the right source: the pinned
+  /// epoch `snap` if valid, else — in follow mode — an auto-pin of the
+  /// latest applied epoch (so every page read is a latched copy and the
+  /// applier may refresh frames concurrently), else the live tree. Folds
+  /// the call's physical transfers into `io` and reports a failure into
+  /// `status` and the sticky io_error flag (never for kStaleSnapshot).
+  template <typename WalkFn>
+  size_t Walk(storage::IoStats* io, TraversalScratch* scratch,
+              storage::Status* status, const SnapshotT* snap, WalkFn&& walk) {
     assert(open_);
-    bool pinned = snap != nullptr && snap->valid();
-    // Follow mode: every query runs pinned — an unpinned entry pins the
-    // latest applied epoch for the call, so all page reads are latched
-    // copies and the applier may refresh frames concurrently.
     SnapshotT auto_snap;
-    if (!pinned && follow_mode_) {
+    if ((snap == nullptr || !snap->valid()) && follow_mode_) {
       auto_snap = PinSnapshot();
       snap = &auto_snap;
-      pinned = true;
     }
+    const bool pinned = snap != nullptr && snap->valid();
     TraversalScratch local;
     if (!scratch) {
       scratch = &local;
-      local.Reserve(pinned ? snap->view().height : height_,
-                    sb_.max_entries);
+      local.Reserve(pinned ? snap->view().height : height_, sb_.max_entries);
     }
     storage::BufferPool::PinIo pin_io;
+    storage::Status st;
     size_t found;
     if (pinned) {
       scratch->page_buf.resize(sb_.file_page_size);
-      SnapshotSource src{this, snap, &pin_io, &scratch->page_buf};
-      found = TraverseWindowOver<PredImpliesIntersect>(
-          src, window, std::forward<Pred>(pred), std::forward<Emit>(emit),
-          io, scratch, status);
+      SnapshotSource src{{this, &pin_io}, snap, &scratch->page_buf, {}};
+      found = walk(src, scratch, &st);
     } else {
-      LatestSource src{this, &pin_io};
-      found = TraverseWindowOver<PredImpliesIntersect>(
-          src, window, std::forward<Pred>(pred), std::forward<Emit>(emit),
-          io, scratch, status);
+      LatestSource src{{this, &pin_io}};
+      found = walk(src, scratch, &st);
     }
     if (io) {
       io->page_reads += pin_io.reads;
@@ -1003,205 +953,13 @@ class PagedRTree {
       io->wal_syncs += pin_io.wal_syncs;
       io->pin_miss_ns += pin_io.miss_ns;
     }
-    return found;
-  }
-
-  size_t RangeCount(const RectT& q, storage::IoStats* io = nullptr,
-                    TraversalScratch* scratch = nullptr,
-                    storage::Status* status = nullptr,
-                    const SnapshotT* snap = nullptr) {
-    return RangeQuery(q, nullptr, io, scratch, status, snap);
-  }
-
-  /// k nearest objects to `q`, ascending squared distance — best-first
-  /// traversal identical to rtree/knn.h KnnSearch, decoding pinned pages.
-  /// Emits each KnnNeighbor<D> the moment it is popped from the frontier
-  /// (no intermediate vector — the sink form both engines share); returns
-  /// the number emitted. A valid `snap` runs against that pinned epoch
-  /// (concurrent-writer-safe; see TraverseWindowEmit).
-  template <typename Emit>
-    requires std::invocable<Emit&, const KnnNeighbor<D>&>
-  size_t Knn(const geom::Vec<D>& q, int k, Emit&& emit,
-             storage::IoStats* io = nullptr,
-             storage::Status* status = nullptr,
-             const SnapshotT* snap = nullptr) {
-    assert(open_);
-    if (k <= 0) return 0;
-    SnapshotT auto_snap;
-    if (follow_mode_ && (snap == nullptr || !snap->valid())) {
-      auto_snap = PinSnapshot();  // see TraverseWindowEmit
-      snap = &auto_snap;
-    }
-    storage::BufferPool::PinIo pin_io;
-    size_t found;
-    if (snap != nullptr && snap->valid()) {
-      std::vector<std::byte> page_buf(sb_.file_page_size);
-      SnapshotSource src{this, snap, &pin_io, &page_buf};
-      found = KnnOver(src, q, k, emit, io, status);
-    } else {
-      LatestSource src{this, &pin_io};
-      found = KnnOver(src, q, k, emit, io, status);
-    }
-    if (io) {
-      io->page_reads += pin_io.reads;
-      io->read_retries += pin_io.read_retries;
-      io->page_writes += pin_io.writes;
-      io->wal_syncs += pin_io.wal_syncs;
-      io->pin_miss_ns += pin_io.miss_ns;
-    }
-    return found;
-  }
-
- private:
-  /// Best-first kNN body, generic over the page/clip source.
-  template <typename Src, typename Emit>
-  size_t KnnOver(Src& src, const geom::Vec<D>& q, int k, Emit&& emit,
-                 storage::IoStats* io, storage::Status* status) {
-    size_t found = 0;
-    struct QueueItem {
-      double dist2;
-      bool is_object;
-      int64_t id;
-      bool operator>(const QueueItem& o) const { return dist2 > o.dist2; }
-    };
-    std::priority_queue<QueueItem, std::vector<QueueItem>,
-                        std::greater<QueueItem>>
-        frontier;
-    frontier.push({0.0, false, src.root()});
-
-    while (!frontier.empty()) {
-      const QueueItem item = frontier.top();
-      frontier.pop();
-      if (item.is_object) {
-        emit(KnnNeighbor<D>{item.id, item.dist2});
-        if (static_cast<int>(++found) == k) break;
-        continue;
-      }
-      storage::Status acq_status;
-      const std::byte* bytes = src.Acquire(1 + item.id, &acq_status);
-      if (!bytes) {
-        if (acq_status.kind != storage::ErrorKind::kStaleSnapshot) {
-          io_error_.store(true, std::memory_order_relaxed);
-        }
-        if (status) *status = acq_status;
-        break;
-      }
-      const PagedNodeView<D> v = DecodeNodePage<D>(bytes);
-      if (!ValidPage(v)) {
+    if (!st.ok()) {
+      if (st.kind != storage::ErrorKind::kStaleSnapshot) {
         io_error_.store(true, std::memory_order_relaxed);
-        if (status) {
-          *status = storage::Status{storage::ErrorKind::kCorruptStructure,
-                                    1 + item.id};
-        }
-        src.Release(1 + item.id);
-        break;
       }
-      const SoaNodeView<D> s = v.Soa();
-      const bool leaf = v.IsLeaf();
-      if (io) {
-        if (leaf) {
-          ++io->leaf_accesses;
-        } else {
-          ++io->internal_accesses;
-        }
-      }
-      for (uint32_t i = 0; i < v.n(); ++i) {
-        if (leaf) {
-          frontier.push({SoaMinDist2<D>(s, i, q), true, v.id[i]});
-        } else {
-          if (v.id[i] < 0 ||
-              v.id[i] >= static_cast<int64_t>(src.section_pages())) {
-            io_error_.store(true, std::memory_order_relaxed);
-            if (status) {
-              *status = storage::Status{
-                  storage::ErrorKind::kCorruptStructure, 1 + item.id};
-            }
-            continue;
-          }
-          double bound;
-          if (src.clipped()) {
-            if (io) ++io->clip_accesses;
-            bound = core::CbbMinDist2<D>(q, v.EntryRect(i),
-                                         src.Clips(v.id[i]));
-          } else {
-            bound = SoaMinDist2<D>(s, i, q);
-          }
-          frontier.push({bound, false, v.id[i]});
-        }
-      }
-      src.Release(1 + item.id);
+      if (status) *status = st;
     }
     return found;
-  }
-
- public:
-
-  /// k nearest objects to `q`, ascending, as a by-value vector.
-  [[deprecated(
-      "use SpatialEngine::Execute with QuerySpec::Knn and a KnnHeapSink "
-      "(rtree/query_api.h), or the sink-driven Knn overload")]]
-  std::vector<KnnNeighbor<D>> Knn(const geom::Vec<D>& q, int k,
-                                  storage::IoStats* io = nullptr) {
-    std::vector<KnnNeighbor<D>> result;
-    Knn(q, k,
-        [&result](const KnnNeighbor<D>& n) { result.push_back(n); }, io);
-    return result;
-  }
-
-  /// Runs every window as a range count, optionally in Hilbert order of
-  /// the query centers (the batched hot path), fanned out over
-  /// `opts.threads` workers pulling contiguous chunks of the schedule.
-  [[deprecated(
-      "use SpatialEngine::ExecuteBatch over this tree "
-      "(rtree/query_api.h)")]]
-  QueryBatchResult RunBatch(std::span<const RectT> queries,
-                            const QueryBatchOptions& opts) {
-    return RunBatchImpl(queries, opts);
-  }
-
-  /// Single-threaded batch (kept as the deterministic baseline schedule).
-  [[deprecated(
-      "use SpatialEngine::ExecuteBatch over this tree "
-      "(rtree/query_api.h)")]]
-  QueryBatchResult RunBatch(std::span<const RectT> queries,
-                            bool hilbert_order = true) {
-    QueryBatchOptions opts;
-    opts.hilbert_order = hilbert_order;
-    opts.threads = 1;
-    return RunBatchImpl(queries, opts);
-  }
-
- private:
-  /// The batch fan-out behind the deprecated RunBatch shims —
-  /// SpatialEngine::ExecuteBatch reproduces exactly this (same schedule,
-  /// ForEachChunked, per-worker scratch + IoStats summed at the join;
-  /// the sharded pool reads each faulted page exactly once even when
-  /// workers race to it, so summed physical reads match the serial run
-  /// on a no-evict pool).
-  QueryBatchResult RunBatchImpl(std::span<const RectT> queries,
-                                const QueryBatchOptions& opts) {
-    QueryBatchResult result;
-    result.counts.assign(queries.size(), 0);
-    if (queries.empty() || !open_) return result;
-    std::vector<uint32_t> order;
-    if (opts.hilbert_order) {
-      order = HilbertQueryOrder<D>(bounds_, queries);
-    } else {
-      order.resize(queries.size());
-      std::iota(order.begin(), order.end(), 0u);
-    }
-    const unsigned threads =
-        ResolveBatchThreads(opts.threads, queries.size());
-    std::vector<TraversalScratch> scratch(threads);
-    for (auto& s : scratch) s.Reserve(height_, sb_.max_entries);
-    std::vector<storage::IoStats> per_thread(threads);
-    ForEachChunked(order.size(), threads, [&](unsigned t, size_t i) {
-      const uint32_t qi = order[i];
-      result.counts[qi] =
-          RangeCount(queries[qi], &per_thread[t], &scratch[t]);
-    });
-    for (const auto& io : per_thread) result.io += io;
-    return result;
   }
 
   // ----------------------------------------------------------- open helpers

@@ -31,10 +31,8 @@
 //    identical across backends (parity-tested); the paged backend
 //    additionally reports physical page reads in the same IoStats.
 //
-// The pre-unification surface (free PointQuery/ContainedInQuery/
-// EnclosureQuery/KnnQuery/RunQueryBatch/BatchRangeCount, by-value
-// PagedRTree::Knn, PagedRTree::RunBatch) survives as deprecated shims for
-// exactly one PR.
+// Both backends run the one window walk and the one kNN walk of
+// rtree/traversal.h; they differ only in the node source.
 #ifndef CLIPBB_RTREE_QUERY_API_H_
 #define CLIPBB_RTREE_QUERY_API_H_
 
@@ -49,7 +47,6 @@
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "rtree/knn.h"
 #include "rtree/paged_rtree.h"
 #include "rtree/query_batch.h"
 #include "rtree/rtree.h"
@@ -390,44 +387,41 @@ struct TimedPred {
   }
 };
 
-template <bool kImplies, typename Traverse, typename Pred>
-size_t RunWindowPred(Traverse& traverse, Pred pred,
-                     obs::QueryProbe* probe) {
+template <typename Traverse, typename Pred>
+size_t RunWindowPred(Traverse& traverse, Pred pred, obs::QueryProbe* probe) {
   if (probe != nullptr) {
-    return traverse.template operator()<kImplies>(
-        TimedPred<Pred>{std::move(pred), probe});
+    return traverse(TimedPred<Pred>{std::move(pred), probe});
   }
-  return traverse.template operator()<kImplies>(std::move(pred));
+  return traverse(std::move(pred));
 }
 
 /// Window-predicate dispatch shared by both adapters: calls
-/// `traverse.template operator()<PredImpliesIntersect>(pred)` with the
-/// leaf predicate of `spec.kind`. kKnn never reaches here. A non-null
-/// `probe` wraps the non-trivial predicates in TimedPred; kIntersects
-/// stays MatchAllPred unconditionally — it has no refine phase, and
-/// wrapping it would break the kMatchAll fast path.
+/// `traverse(pred)` with the leaf predicate of `spec.kind`. kKnn never
+/// reaches here. A non-null `probe` wraps the non-trivial predicates in
+/// TimedPred; kIntersects stays MatchAllPred unconditionally — it has no
+/// refine phase, and wrapping it would break the kMatchAll fast path.
 template <int D, typename Traverse>
 size_t DispatchWindow(const QuerySpec<D>& spec, Traverse&& traverse,
                       obs::QueryProbe* probe = nullptr) {
   switch (spec.kind) {
     case QueryKind::kIntersects:
-      return traverse.template operator()<false>(MatchAllPred{});
+      return traverse(MatchAllPred{});
     case QueryKind::kContainsPoint:
-      return RunWindowPred<true>(
+      return RunWindowPred(
           traverse,
           [p = spec.point](const geom::Rect<D>& r) {
             return r.ContainsPoint(p);
           },
           probe);
     case QueryKind::kContainedIn:
-      return RunWindowPred<true>(
+      return RunWindowPred(
           traverse,
           [w = spec.window](const geom::Rect<D>& r) {
             return w.Contains(r);
           },
           probe);
     case QueryKind::kEncloses:
-      return RunWindowPred<true>(
+      return RunWindowPred(
           traverse,
           [w = spec.window](const geom::Rect<D>& r) {
             return r.Contains(w);
@@ -439,6 +433,33 @@ size_t DispatchWindow(const QuerySpec<D>& spec, Traverse&& traverse,
   assert(!"window dispatch reached for a kNN spec");
   return 0;
 }
+
+/// The emit callback both adapters hand to the walks: forwards window
+/// matches to OnMatch and kNN neighbours to OnNeighbor (a null sink counts
+/// only), timing the delivery into a sampled query's probe.
+template <int D>
+struct SinkEmit {
+  ResultSink<D>* sink;
+  obs::QueryProbe* probe;
+
+  void operator()(ObjectId id) const {
+    Deliver([&] { sink->OnMatch(id); });
+  }
+  void operator()(const KnnNeighbor<D>& n) const {
+    Deliver([&] { sink->OnNeighbor(n); });
+  }
+  template <typename F>
+  void Deliver(F&& deliver) const {
+    if (sink == nullptr) return;
+    if (probe == nullptr) {
+      deliver();
+      return;
+    }
+    const uint64_t t0 = obs::NowNs();
+    deliver();
+    probe->sink_ns += obs::NowNs() - t0;
+  }
+};
 
 template <int D>
 class MemoryBackend final : public QueryBackend<D> {
@@ -459,40 +480,19 @@ class MemoryBackend final : public QueryBackend<D> {
              storage::Status* /*status*/ = nullptr,
              obs::QueryProbe* probe = nullptr,
              const EngineSnapshot<D>* /*snap*/ = nullptr) const override {
-    // The in-memory traversal has no failure modes; status is never set.
+    // The in-memory walk has no failure modes; status is never set.
     // Snapshots are ignored: the in-memory tree is single-version, and
     // under its read-path contract (no concurrent writer) the latest
     // state is the snapshot.
+    const SinkEmit<D> emit{sink, probe};
     if (spec.kind == QueryKind::kKnn) {
-      return KnnSearch<D>(
-          *tree_, spec.point, spec.k,
-          [sink, probe](const KnnNeighbor<D>& n) {
-            if (sink == nullptr) return;
-            if (probe != nullptr) {
-              const uint64_t t0 = obs::NowNs();
-              sink->OnNeighbor(n);
-              probe->sink_ns += obs::NowNs() - t0;
-            } else {
-              sink->OnNeighbor(n);
-            }
-          },
-          io);
+      return tree_->Knn(spec.point, spec.k, emit, io, scratch);
     }
-    auto emit = [sink, probe](ObjectId id) {
-      if (sink == nullptr) return;
-      if (probe != nullptr) {
-        const uint64_t t0 = obs::NowNs();
-        sink->OnMatch(id);
-        probe->sink_ns += obs::NowNs() - t0;
-      } else {
-        sink->OnMatch(id);
-      }
-    };
     return DispatchWindow<D>(
         spec,
-        [&]<bool kImplies>(auto pred) {
-          return tree_->template TraverseWindowEmit<kImplies>(
-              spec.window, pred, emit, io, scratch);
+        [&](auto pred) {
+          return tree_->TraverseWindowEmit(spec.window, pred, emit, io,
+                                           scratch);
         },
         probe);
   }
@@ -532,36 +532,15 @@ class PagedBackend final : public QueryBackend<D> {
         (snap != nullptr && snap->valid())
             ? static_cast<const Snapshot<D>*>(snap->raw())
             : nullptr;
+    const SinkEmit<D> emit{sink, probe};
     if (spec.kind == QueryKind::kKnn) {
-      return tree_->Knn(
-          spec.point, spec.k,
-          [sink, probe](const KnnNeighbor<D>& n) {
-            if (sink == nullptr) return;
-            if (probe != nullptr) {
-              const uint64_t t0 = obs::NowNs();
-              sink->OnNeighbor(n);
-              probe->sink_ns += obs::NowNs() - t0;
-            } else {
-              sink->OnNeighbor(n);
-            }
-          },
-          io, status, pin);
+      return tree_->Knn(spec.point, spec.k, emit, io, scratch, status, pin);
     }
-    auto emit = [sink, probe](ObjectId id) {
-      if (sink == nullptr) return;
-      if (probe != nullptr) {
-        const uint64_t t0 = obs::NowNs();
-        sink->OnMatch(id);
-        probe->sink_ns += obs::NowNs() - t0;
-      } else {
-        sink->OnMatch(id);
-      }
-    };
     return DispatchWindow<D>(
         spec,
-        [&]<bool kImplies>(auto pred) {
-          return tree_->template TraverseWindowEmit<kImplies>(
-              spec.window, pred, emit, io, scratch, status, pin);
+        [&](auto pred) {
+          return tree_->TraverseWindowEmit(spec.window, pred, emit, io,
+                                           scratch, status, pin);
         },
         probe);
   }

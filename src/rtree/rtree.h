@@ -13,8 +13,8 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <thread>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -27,19 +27,11 @@
 #include "rtree/node.h"
 #include "rtree/options.h"
 #include "rtree/soa.h"
+#include "rtree/traversal.h"
 #include "storage/io_stats.h"
 #include "storage/page_store.h"
 
 namespace clipbb::rtree {
-
-/// Leaf predicate tag for plain range queries: window intersection alone
-/// decides membership, so the traversal skips the per-entry callback.
-struct MatchAllPred {
-  template <typename RectT>
-  constexpr bool operator()(const RectT&) const {
-    return true;
-  }
-};
 
 /// Why a node was re-clipped (Fig. 12 breakdown).
 enum class ReclipCause { kSplit, kMbbChange, kCbbChange };
@@ -120,14 +112,61 @@ class RTree {
 
   // ----------------------------------------------------------------- query
 
+ private:
+  /// Node source of the shared query walks (rtree/traversal.h). With a
+  /// fresh accelerator each node is served straight from the SoA mirror;
+  /// while it is stale the node is transposed into the caller's scratch,
+  /// so both states run the same kernels, visit order and counters.
+  class Source {
+   public:
+    struct View {
+      SoaNodeView<D> soa;
+      bool leaf = true;
+      uint32_t n() const { return soa.n; }
+      bool IsLeaf() const { return leaf; }
+      const SoaNodeView<D>& Soa() const { return soa; }
+      RectT EntryRect(uint32_t i) const { return soa.EntryRect(i); }
+    };
+
+    Source(const RTree& tree, TraversalScratch* scratch)
+        : tree_(&tree), scratch_(scratch), fresh_(tree.AccelFresh()) {}
+
+    int64_t root() const { return tree_->root_; }
+    bool clipped() const { return tree_->clipping_; }
+    bool Acquire(int64_t id, View* v, storage::Status*) {
+      const NodeT& n = tree_->store_.At(id);
+      v->leaf = n.IsLeaf();
+      v->soa = fresh_ ? tree_->soa_.NodeView(id)
+                      : scratch_->Transpose<D>(n.entries);
+      return true;
+    }
+    void Release(int64_t) {}
+    storage::Status CheckChild(int64_t, int64_t) const { return {}; }
+    std::span<const core::ClipPoint<D>> Clips(int64_t id) const {
+      return tree_->clip_index_.Get(id);
+    }
+
+   private:
+    const RTree* tree_;
+    TraversalScratch* scratch_;
+    bool fresh_;
+  };
+
+ public:
   /// Range query; returns result count, appends ids to `out` if non-null,
   /// accumulates page accesses into `io` if non-null. Passing a
   /// `scratch` reuses its stack/bitmask across queries (batch hot path);
-  /// without one a per-query stack is allocated as before.
+  /// without one a per-query stack is allocated.
   size_t RangeQuery(const RectT& q, std::vector<ObjectId>* out,
                     storage::IoStats* io = nullptr,
                     TraversalScratch* scratch = nullptr) const {
-    return TraverseWindow<false>(q, MatchAllPred{}, out, io, scratch);
+    if (out) {
+      return TraverseWindowEmit(
+          q, MatchAllPred{}, [out](ObjectId id) { out->push_back(id); }, io,
+          scratch);
+    }
+    return TraverseWindowEmit(q, MatchAllPred{}, [](ObjectId) {}, io,
+                              scratch);
   }
 
   size_t RangeCount(const RectT& q, storage::IoStats* io = nullptr,
@@ -135,127 +174,35 @@ class RTree {
     return RangeQuery(q, nullptr, io, scratch);
   }
 
-  /// Shared window traversal all query types run on. Visits leaf entries
-  /// that intersect `window` AND satisfy `pred`; when `PredImpliesIntersect`
-  /// the explicit intersection test is skipped on the scalar path (the
-  /// predicate already implies it — point/containment/enclosure cases).
-  /// Uses the flat SoA mirror + IntersectsAll bitmask kernel whenever the
-  /// accelerator is fresh; falls back to the AoS scan otherwise. Both paths
-  /// visit nodes in identical order and produce identical results and I/O
-  /// counts. A null `scratch` allocates a per-call stack (batch callers
-  /// pass a reused one). Results go to the optional `out` vector; result
-  /// sinks and other delivery styles use TraverseWindowEmit directly.
-  template <bool PredImpliesIntersect, typename Pred>
-  size_t TraverseWindow(const RectT& window, Pred&& pred,
-                        std::vector<ObjectId>* out, storage::IoStats* io,
-                        TraversalScratch* scratch = nullptr) const {
-    if (out) {
-      return TraverseWindowEmit<PredImpliesIntersect>(
-          window, std::forward<Pred>(pred),
-          [out](ObjectId id) { out->push_back(id); }, io, scratch);
-    }
-    return TraverseWindowEmit<PredImpliesIntersect>(
-        window, std::forward<Pred>(pred), [](ObjectId) {}, io, scratch);
-  }
-
-  /// TraverseWindow with a per-result callback instead of an out vector —
-  /// the primitive the unified query API (rtree/query_api.h) drives result
-  /// sinks through. `emit(ObjectId)` is invoked once per matching leaf
-  /// entry, in visit order. Traversal, results, and I/O accounting are
-  /// identical to TraverseWindow.
-  template <bool PredImpliesIntersect, typename Pred, typename Emit>
+  /// Window search (WindowWalk) over this tree: `emit(ObjectId)` fires
+  /// once per leaf entry intersecting `window` and satisfying `pred`, in
+  /// visit order — the primitive every window kind of the unified query
+  /// API (rtree/query_api.h) runs on.
+  template <typename Pred, typename Emit>
   size_t TraverseWindowEmit(const RectT& window, Pred&& pred, Emit&& emit,
                             storage::IoStats* io,
                             TraversalScratch* scratch = nullptr) const {
-    constexpr bool kMatchAll = std::is_same_v<std::decay_t<Pred>, MatchAllPred>;
     TraversalScratch local;
     if (!scratch) {
       scratch = &local;
       local.Reserve(Height(), opts_.max_entries);
     }
-    const bool use_soa = AccelFresh();
-    auto& stack = scratch->stack;
-    stack.clear();
-    stack.push_back(root_);
-    size_t found = 0;
-    while (!stack.empty()) {
-      const PageId id = stack.back();
-      stack.pop_back();
-      const NodeT& n = store_.At(id);
-      if (n.IsLeaf()) {
-        if (io) ++io->leaf_accesses;
-        bool contributed = false;
-        if (use_soa) {
-          const SoaNodeView<D> v = soa_.NodeView(id);
-          uint64_t* mask = scratch->MaskFor(v.n);
-          IntersectsAll<D>(v, window, mask, scratch->FlagsFor(v.n));
-          for (uint32_t w = 0; w * 64 < v.n; ++w) {
-            uint64_t m = mask[w];
-            while (m) {
-              const uint32_t i =
-                  w * 64 + static_cast<uint32_t>(std::countr_zero(m));
-              m &= m - 1;
-              if (kMatchAll || pred(n.entries[i].rect)) {
-                ++found;
-                contributed = true;
-                emit(static_cast<ObjectId>(v.id[i]));
-              }
-            }
-          }
-        } else {
-          for (const EntryT& e : n.entries) {
-            const bool hit = PredImpliesIntersect
-                                 ? pred(e.rect)
-                                 : (e.rect.Intersects(window) &&
-                                    (kMatchAll || pred(e.rect)));
-            if (hit) {
-              ++found;
-              contributed = true;
-              emit(e.id);
-            }
-          }
-        }
-        if (io && contributed) ++io->contributing_leaf_accesses;
-      } else {
-        if (io) ++io->internal_accesses;
-        if (use_soa) {
-          const SoaNodeView<D> v = soa_.NodeView(id);
-          uint64_t* mask = scratch->MaskFor(v.n);
-          IntersectsAll<D>(v, window, mask, scratch->FlagsFor(v.n));
-          // Same push order as the scalar loop (ascending entry index), so
-          // both paths traverse and emit results identically.
-          for (uint32_t w = 0; w * 64 < v.n; ++w) {
-            uint64_t m = mask[w];
-            while (m) {
-              const uint32_t i =
-                  w * 64 + static_cast<uint32_t>(std::countr_zero(m));
-              m &= m - 1;
-              const int64_t child = v.id[i];
-              if (clipping_) {
-                if (io) ++io->clip_accesses;
-                if (core::ClipsPruneQuery<D>(clip_index_.Get(child),
-                                             window)) {
-                  continue;
-                }
-              }
-              stack.push_back(child);
-            }
-          }
-        } else {
-          for (const EntryT& e : n.entries) {
-            if (!e.rect.Intersects(window)) continue;
-            if (clipping_) {
-              if (io) ++io->clip_accesses;
-              if (core::ClipsPruneQuery<D>(clip_index_.Get(e.id), window)) {
-                continue;
-              }
-            }
-            stack.push_back(e.id);
-          }
-        }
-      }
-    }
-    return found;
+    Source src(*this, scratch);
+    storage::Status status;  // the in-memory source never fails
+    return WindowWalk<D>(src, window, pred, emit, io, scratch, &status);
+  }
+
+  /// k nearest objects to `q` (KnnWalk): `emit(const KnnNeighbor<D>&)`
+  /// fires once per neighbour, ascending squared distance; returns the
+  /// number emitted. `scratch` only matters while the accelerator is stale.
+  template <typename Emit>
+  size_t Knn(const geom::Vec<D>& q, int k, Emit&& emit,
+             storage::IoStats* io = nullptr,
+             TraversalScratch* scratch = nullptr) const {
+    TraversalScratch local;
+    Source src(*this, scratch ? scratch : &local);
+    storage::Status status;
+    return KnnWalk<D>(src, q, k, emit, io, &status);
   }
 
   // -------------------------------------------------------------- clipping
@@ -306,7 +253,7 @@ class RTree {
   /// Rebuilds the flat read-path accelerators in one pass: the SoA mirror
   /// of all node entries and the compacted clip arena. Called automatically
   /// after bulk loads and restores; call manually after a burst of updates
-  /// to re-flatten (queries fall back to the AoS path while stale).
+  /// to re-flatten (while stale, queries transpose each visited node).
   void RefreshAccel() {
     soa_.Build(*this);
     soa_version_ = version_;

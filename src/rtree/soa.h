@@ -7,9 +7,10 @@
 // by page id), so testing a window against every entry of a node is a
 // straight-line pass over dense doubles that the compiler can vectorise —
 // no pointer chasing, no short-circuit branches. The matrix is rebuilt in
-// one pass (RTree::RefreshAccel) and version-checked: queries fall back to
-// the AoS path transparently whenever the tree has mutated since the last
-// build, so results are always identical.
+// one pass (RTree::RefreshAccel) and version-checked: while the tree has
+// mutated since the last build, queries transpose each node they visit
+// into their TraversalScratch instead, so every query runs the same kernel
+// and results are always identical.
 #ifndef CLIPBB_RTREE_SOA_H_
 #define CLIPBB_RTREE_SOA_H_
 
@@ -32,6 +33,15 @@ struct SoaNodeView {
   const double* hi[D];
   const int64_t* id = nullptr;
   uint32_t n = 0;
+
+  geom::Rect<D> EntryRect(uint32_t i) const {
+    geom::Rect<D> r;
+    for (int d = 0; d < D; ++d) {
+      r.lo[d] = lo[d][i];
+      r.hi[d] = hi[d][i];
+    }
+    return r;
+  }
 };
 
 /// SoA transpose of every node's entry list, CSR-indexed by page id.
@@ -155,8 +165,8 @@ inline double SoaMinDist2(const SoaNodeView<D>& v, uint32_t i,
 }
 
 /// Reusable per-traversal storage: the DFS stack and the candidate bitmask.
-/// A context owns one of these per thread so a batch of queries runs with
-/// zero per-query allocation.
+/// A batch worker owns one of these so its queries run with zero
+/// per-query allocation.
 struct TraversalScratch {
   std::vector<storage::PageId> stack;
   std::vector<uint64_t> mask;
@@ -164,6 +174,10 @@ struct TraversalScratch {
   /// Page copy-out target of snapshot-pinned paged traversals (sized
   /// lazily to one file page; unused — and empty — on every other path).
   std::vector<std::byte> page_buf;
+  /// One in-memory node transposed to SoA (Transpose); used only while
+  /// the tree's SoA mirror is stale.
+  std::vector<double> node_coords;
+  std::vector<int64_t> node_ids;
 
   /// Ensures capacity for a tree of the given height and fanout.
   void Reserve(int height, int max_entries) {
@@ -188,6 +202,31 @@ struct TraversalScratch {
   uint8_t* FlagsFor(uint32_t n) {
     if (flags.size() < n) flags.resize(n);
     return flags.data();
+  }
+
+  /// Transposes one node's entry list (anything with .rect and .id per
+  /// element) into node_coords/node_ids, laid out like a packed page, and
+  /// returns its view. Valid until the next call.
+  template <int D, typename Entries>
+  SoaNodeView<D> Transpose(const Entries& entries) {
+    const size_t n = entries.size();
+    node_coords.resize(2 * D * n);
+    node_ids.resize(n);
+    SoaNodeView<D> v;
+    for (int d = 0; d < D; ++d) {
+      double* lo = node_coords.data() + (2 * d) * n;
+      double* hi = node_coords.data() + (2 * d + 1) * n;
+      for (size_t i = 0; i < n; ++i) {
+        lo[i] = entries[i].rect.lo[d];
+        hi[i] = entries[i].rect.hi[d];
+      }
+      v.lo[d] = lo;
+      v.hi[d] = hi;
+    }
+    for (size_t i = 0; i < n; ++i) node_ids[i] = entries[i].id;
+    v.id = node_ids.data();
+    v.n = static_cast<uint32_t>(n);
+    return v;
   }
 };
 

@@ -131,7 +131,7 @@ void GateQueries(PagedRTree<D>& follower, RTree<D>* ref, uint32_t seed) {
   storage::Status st;
   follower.Knn(
       p, 8, [&rep_knn](const KnnNeighbor<D>& n) { rep_knn.push_back(n); },
-      nullptr, &st);
+      nullptr, nullptr, &st);
   ASSERT_TRUE(st.ok()) << st.kind_name();
   ASSERT_EQ(rep_knn.size(), mem_knn.size());
   for (size_t i = 0; i < rep_knn.size(); ++i) {

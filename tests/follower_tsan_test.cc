@@ -96,7 +96,8 @@ TEST(FollowerTsan, ConcurrentRefreshQueriesAndCheckpoints) {
         }
         st = {};
         const auto p = RandomPoint<2>(qrng);
-        follower.Knn(p, 4, [](const KnnNeighbor<2>&) {}, nullptr, &st);
+        follower.Knn(p, 4, [](const KnnNeighbor<2>&) {}, nullptr, &scratch,
+                     &st);
         if (!st.ok()) {
           EXPECT_EQ(st.kind, storage::ErrorKind::kStaleSnapshot)
               << st.kind_name();

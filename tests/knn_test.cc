@@ -1,5 +1,5 @@
-// Tests for kNN search (the sink-driven KnnSearch core) and the
-// CBB-aware MINDIST bound.
+// Tests for kNN search (the sink-driven RTree::Knn over the shared kNN
+// walk) and the CBB-aware MINDIST bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,7 +7,6 @@
 #include "core/clip_builder.h"
 #include "core/mindist.h"
 #include "rtree/factory.h"
-#include "rtree/knn.h"
 #include "test_util.h"
 
 namespace clipbb::rtree {
@@ -79,15 +78,12 @@ TEST(CbbMinDist2, Admissible3d) {
 
 class KnnTest : public ::testing::TestWithParam<Variant> {};
 
-/// Collects KnnSearch results — the test-local stand-in for the old
-/// by-value entry point (now a deprecated shim covered by
-/// engine_api_test).
+/// Collects RTree::Knn results into a vector.
 template <int D>
 std::vector<KnnNeighbor<D>> Knn(const RTree<D>& tree, const Vec<D>& q,
                                 int k, storage::IoStats* io = nullptr) {
   std::vector<KnnNeighbor<D>> out;
-  KnnSearch<D>(tree, q, k,
-               [&out](const KnnNeighbor<D>& n) { out.push_back(n); }, io);
+  tree.Knn(q, k, [&out](const KnnNeighbor<D>& n) { out.push_back(n); }, io);
   return out;
 }
 

@@ -13,11 +13,15 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "rtree/factory.h"
+#include "rtree/page_format.h"
 #include "rtree/paged_rtree.h"
 #include "rtree/query_api.h"
 #include "storage/fault_injection.h"
@@ -213,6 +217,137 @@ TEST(PagedFaultSweep, NoSilentTruncationAcrossTheFaultMatrix) {
         }
       }
     }
+  }
+}
+
+/// Rewrites file page `fid` in place through `mutate` and restamps its
+/// checksum: damage the CRC cannot see, so only the walks' own structural
+/// checks stand between it and a wrong answer.
+template <typename MutateFn>
+void RewritePage(const std::string& path, size_t page_size,
+                 storage::PageId fid, MutateFn&& mutate) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  std::vector<std::byte> page(page_size);
+  const auto off = static_cast<std::streamoff>(fid * page_size);
+  f.seekg(off);
+  ASSERT_TRUE(f.read(reinterpret_cast<char*>(page.data()), page_size));
+  mutate(page.data());
+  StampPageChecksum(page.data(), page_size);
+  f.seekp(off);
+  ASSERT_TRUE(f.write(reinterpret_cast<const char*>(page.data()), page_size));
+}
+
+/// Object ids in the in-memory subtree under `id`.
+void SubtreeIds(const RTree<2>& tree, int64_t id, std::vector<ObjectId>* out) {
+  const Node<2>& n = tree.NodeAt(id);
+  for (const Entry<2>& e : n.entries) {
+    if (n.IsLeaf()) {
+      out->push_back(e.id);
+    } else {
+      SubtreeIds(tree, e.id, out);
+    }
+  }
+}
+
+std::vector<ObjectId> Sorted(std::vector<ObjectId> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+/// A child pointer past the section, on a root page whose checksum is
+/// valid: the window and kNN walks — unpinned and on a pinned snapshot —
+/// skip that one child, still visit every sibling, report
+/// kCorruptStructure on the parent's page, and latch io_error. A stale
+/// follower read of the same file reports kStaleSnapshot and latches
+/// nothing.
+TEST(PagedCorruptChild, SkippedLoudlyWhileSiblingsAreStillVisited) {
+  Rng rng(435);
+  std::vector<Entry<2>> items;
+  for (int i = 0; i < 2000; ++i) {
+    items.push_back(Entry<2>{RandomRect<2>(rng, 0.04), i});
+  }
+  auto tree = BuildTree<2>(Variant::kRStar, items, Domain2());
+  tree->EnableClipping(core::ClipConfig<2>::Sta());
+  FileGuard file(TempPath("child"));
+  ASSERT_TRUE(WritePagedTree<2>(*tree, file.path));
+
+  Superblock sb;
+  {
+    PagedRTree<2> probe;
+    ASSERT_TRUE(probe.Open(file.path));
+    sb = probe.superblock();
+  }
+  const storage::PageId root_page = 1 + sb.root_page;
+  // Serialization keeps entry order, so entry j of the file's root is
+  // entry j of the in-memory root.
+  const Node<2>& root = tree->NodeAt(tree->root());
+  ASSERT_FALSE(root.IsLeaf());
+  const size_t j = root.entries.size() / 2;
+  std::vector<ObjectId> lost;
+  SubtreeIds(*tree, root.entries[j].id, &lost);
+  ASSERT_FALSE(lost.empty());
+  std::vector<ObjectId> expected;
+  for (const Entry<2>& e : items) {
+    if (std::find(lost.begin(), lost.end(), e.id) == lost.end()) {
+      expected.push_back(e.id);
+    }
+  }
+  RewritePage(file.path, sb.file_page_size, root_page, [&](std::byte* page) {
+    const PagedNodeView<2> v = DecodeNodePage<2>(page);
+    ASSERT_EQ(v.n(), root.entries.size());
+    const int64_t bad = static_cast<int64_t>(sb.num_section_pages) + 7;
+    std::memcpy(page + (reinterpret_cast<const std::byte*>(v.id + j) - page),
+                &bad, sizeof bad);
+  });
+
+  const geom::Rect<2> everything = Domain2();
+  const int k_all = static_cast<int>(items.size());
+  for (const bool pinned : {false, true}) {
+    for (const bool knn : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << (pinned ? "pinned" : "unpinned")
+                                        << (knn ? " knn" : " window"));
+      PagedRTree<2> paged;
+      ASSERT_TRUE(paged.Open(file.path));
+      const auto snap = paged.PinSnapshot();
+      std::vector<ObjectId> got;
+      storage::Status st;
+      if (knn) {
+        paged.Knn(
+            everything.Center(), k_all,
+            [&got](const KnnNeighbor<2>& n) { got.push_back(n.id); },
+            nullptr, nullptr, &st, pinned ? &snap : nullptr);
+      } else {
+        paged.RangeQuery(everything, &got, nullptr, nullptr, &st,
+                         pinned ? &snap : nullptr);
+      }
+      EXPECT_EQ(st.kind, storage::ErrorKind::kCorruptStructure)
+          << st.kind_name();
+      EXPECT_EQ(st.page, root_page);
+      EXPECT_TRUE(paged.io_error());
+      EXPECT_EQ(Sorted(std::move(got)), expected);
+    }
+  }
+
+  // A follower whose base page carries a future LSN: both walks, pinned
+  // and auto-pinned, fail stale at the root — and never latch.
+  PagedRTree<2> follower;
+  PagedRTree<2>::OpenOptions fopts;
+  fopts.mode = PagedRTree<2>::OpenMode::kFollow;
+  ASSERT_TRUE(follower.Open(file.path, fopts));
+  RewritePage(file.path, sb.file_page_size, root_page,
+              [](std::byte* page) { SetPageLsn(page, uint64_t{1} << 40); });
+  const auto snap = follower.PinSnapshot();
+  for (const bool pinned : {false, true}) {
+    storage::Status st;
+    follower.RangeQuery(everything, nullptr, nullptr, nullptr, &st,
+                        pinned ? &snap : nullptr);
+    EXPECT_EQ(st.kind, storage::ErrorKind::kStaleSnapshot) << st.kind_name();
+    st = {};
+    follower.Knn(everything.Center(), 3, [](const KnnNeighbor<2>&) {},
+                 nullptr, nullptr, &st, pinned ? &snap : nullptr);
+    EXPECT_EQ(st.kind, storage::ErrorKind::kStaleSnapshot) << st.kind_name();
+    EXPECT_FALSE(follower.io_error());
   }
 }
 

@@ -107,8 +107,7 @@ TEST_P(PagedParity, KnnMatchesInMemory) {
     const auto p = RandomPoint<2>(rng);
     const int k = 1 + static_cast<int>(rng.Below(16));
     std::vector<KnnNeighbor<2>> mem, disk;
-    KnnSearch<2>(*tree, p, k,
-                 [&mem](const KnnNeighbor<2>& n) { mem.push_back(n); });
+    tree->Knn(p, k, [&mem](const KnnNeighbor<2>& n) { mem.push_back(n); });
     paged.Knn(p, k,
               [&disk](const KnnNeighbor<2>& n) { disk.push_back(n); });
     ASSERT_EQ(mem.size(), disk.size());

@@ -3,7 +3,8 @@
 //  1. Brute force: every QuerySpec kind through SpatialEngine over the
 //     in-memory tree must return exactly the linear-scan answer in every
 //     configuration — clipping on/off, SoA accelerator fresh/stale, and
-//     per-query vs reused-scratch execution.
+//     per-query vs reused-scratch execution — and the fresh and stale
+//     accelerator must emit identical sequences.
 //
 //  2. Cross-backend: the SAME specs through SpatialEngine over the
 //     in-memory RTree and the disk-resident PagedRTree of the same tree
@@ -17,6 +18,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "rtree/factory.h"
@@ -139,30 +141,64 @@ TEST(QueriesParity, ClippedAccelFresh3d) {
   CheckAllQueryTypes<3>(f, 3);
 }
 
+/// Results of one spec in emission order: ids, plus kNN distances.
+struct Emitted {
+  std::vector<ObjectId> ids;
+  std::vector<double> dist2;
+};
+
+template <int D>
+Emitted Emit(const SpatialEngine<D>& engine, const QuerySpec<D>& spec,
+            storage::IoStats* io) {
+  Emitted out;
+  auto sink = MakeCallbackSink<D>([&out](const auto& r) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(r)>,
+                                 KnnNeighbor<D>>) {
+      out.ids.push_back(r.id);
+      out.dist2.push_back(r.dist2);
+    } else {
+      out.ids.push_back(r);
+    }
+  });
+  engine.Execute(spec, &sink, io);
+  return out;
+}
+
 TEST(QueriesParity, FreshAndStalePathsEmitIdenticalSequences) {
-  // Beyond set equality: the SoA and AoS paths must traverse in the same
-  // order and emit the same result sequence and I/O counts.
+  // Beyond set equality: a stale accelerator (nodes transposed per visit)
+  // and a fresh one (the SoA mirror) must traverse in the same order and
+  // emit the same result sequence, kNN distances and I/O counts, for
+  // every QuerySpec kind.
   Fixture<2> f(Variant::kRStar, 2000, 74);
   f.tree->EnableClipping(core::ClipConfig<2>::Sta());
   const SpatialEngine<2> engine(*f.tree);
   Rng rng(9);
   for (int trial = 0; trial < 25; ++trial) {
-    const QuerySpec<2> spec =
-        QuerySpec<2>::Intersects(testing::RandomRect<2>(rng, 0.25));
-    std::vector<ObjectId> stale_ids, fresh_ids;
-    CollectIds<2> stale_sink(&stale_ids), fresh_sink(&fresh_ids);
-    storage::IoStats stale_io, fresh_io;
-    ASSERT_FALSE(f.tree->AccelFresh());
-    engine.Execute(spec, &stale_sink, &stale_io);
-    f.tree->RefreshAccel();
-    engine.Execute(spec, &fresh_sink, &fresh_io);
-    EXPECT_EQ(stale_ids, fresh_ids);
-    EXPECT_EQ(stale_io.leaf_accesses, fresh_io.leaf_accesses);
-    EXPECT_EQ(stale_io.internal_accesses, fresh_io.internal_accesses);
-    EXPECT_EQ(stale_io.contributing_leaf_accesses,
-              fresh_io.contributing_leaf_accesses);
-    // Invalidate the accel again for the next round.
-    f.tree->Insert(testing::RandomRect<2>(rng, 0.05), 100000 + trial);
+    const geom::Rect<2> w = testing::RandomRect<2>(rng, 0.25);
+    const geom::Vec<2> p = testing::RandomPoint<2>(rng, -0.2, 1.2);
+    const QuerySpec<2> specs[] = {
+        QuerySpec<2>::Intersects(w), QuerySpec<2>::ContainsPoint(p),
+        QuerySpec<2>::ContainedIn(w),
+        QuerySpec<2>::Encloses(testing::RandomRect<2>(rng, 0.02)),
+        QuerySpec<2>::Knn(p, 1 + static_cast<int>(rng.Below(20)))};
+    for (const QuerySpec<2>& spec : specs) {
+      SCOPED_TRACE(QueryKindName(spec.kind));
+      storage::IoStats stale_io, fresh_io;
+      ASSERT_FALSE(f.tree->AccelFresh());
+      const Emitted stale = Emit<2>(engine, spec, &stale_io);
+      f.tree->RefreshAccel();
+      const Emitted fresh = Emit<2>(engine, spec, &fresh_io);
+      EXPECT_EQ(stale.ids, fresh.ids);
+      EXPECT_EQ(stale.dist2, fresh.dist2);  // exact, not approximate
+      EXPECT_EQ(stale_io.leaf_accesses, fresh_io.leaf_accesses);
+      EXPECT_EQ(stale_io.internal_accesses, fresh_io.internal_accesses);
+      EXPECT_EQ(stale_io.contributing_leaf_accesses,
+                fresh_io.contributing_leaf_accesses);
+      EXPECT_EQ(stale_io.clip_accesses, fresh_io.clip_accesses);
+      // Invalidate the accel again for the next kind.
+      f.tree->Insert(testing::RandomRect<2>(rng, 0.05),
+                     100000 + trial * 10 + static_cast<int>(spec.kind));
+    }
   }
 }
 
@@ -189,7 +225,7 @@ TEST(QueriesParity, UpdatesAfterRefreshFallBackCorrectly) {
     }
     std::vector<ObjectId> got;
     CollectIds<2> sink(&got);
-    ASSERT_FALSE(f.tree->AccelFresh());  // stale: scalar fallback path
+    ASSERT_FALSE(f.tree->AccelFresh());  // stale: nodes transposed per visit
     EXPECT_EQ(engine.Execute(QuerySpec<2>::Intersects(w), &sink),
               brute.size());
     EXPECT_EQ(Sorted(std::move(got)), Sorted(std::move(brute)));
@@ -211,10 +247,22 @@ TEST(QueriesParity, UpdatesAfterRefreshFallBackCorrectly) {
 /// and its paged twin: results must match element for element (identical
 /// visit order, not just identical sets), logical I/O must match counter
 /// for counter, and kNN distances must match exactly.
+///
+/// `stale` first inserts into the in-memory tree, leaving its accelerator
+/// stale, and pages a copy of the result — the paged writer's memory
+/// mirror against the file it maintains.
 template <int D>
-void CheckEngineParity(Variant v, bool clipped, uint64_t seed) {
+void CheckEngineParity(Variant v, bool clipped, uint64_t seed,
+                       bool stale = false) {
   Fixture<D> f(v, 1000, seed);
   if (clipped) f.tree->EnableClipping(core::ClipConfig<D>::Sta());
+  if (stale) {
+    Rng ins(seed + 1);
+    for (int i = 0; i < 150; ++i) {
+      f.tree->Insert(testing::RandomRect<D>(ins, 0.15), 1000 + i);
+    }
+    ASSERT_FALSE(f.tree->AccelFresh());
+  }
 
   const testing::TempFileGuard file(testing::TempPagePath("parity"));
   ASSERT_TRUE(WritePagedTree<D>(*f.tree, file.path));
@@ -248,7 +296,7 @@ void CheckEngineParity(Variant v, bool clipped, uint64_t seed) {
       EXPECT_EQ(nm, nd);
       ASSERT_EQ(mem_nn.size(), disk_nn.size());
       for (size_t i = 0; i < mem_nn.size(); ++i) {
-        EXPECT_DOUBLE_EQ(mem_nn[i].dist2, disk_nn[i].dist2);
+        EXPECT_EQ(mem_nn[i].dist2, disk_nn[i].dist2);
       }
     } else {
       std::vector<ObjectId> mem_ids, disk_ids;
@@ -308,6 +356,10 @@ TEST_P(EngineParity, AllSpecKindsClipped3d) {
 
 TEST_P(EngineParity, AllSpecKindsUnclipped3d) {
   CheckEngineParity<3>(GetParam(), /*clipped=*/false, 84);
+}
+
+TEST_P(EngineParity, AllSpecKindsStaleMirrorClipped2d) {
+  CheckEngineParity<2>(GetParam(), /*clipped=*/true, 85, /*stale=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, EngineParity,
