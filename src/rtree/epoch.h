@@ -1,4 +1,6 @@
-// Epoch-based snapshot isolation for the paged engine.
+// Epoch-based snapshot isolation for the paged engine, and the one store
+// of page images that live in neither a buffer-pool frame nor the page
+// file.
 //
 // The writer keeps the base state (buffer pool frames + page file) current
 // and mutates it in place, exactly as before. What snapshots add is
@@ -9,6 +11,16 @@
 // record, a consistent `EpochTreeView` (root, height, bounds, clip flag) is
 // stamped, and a fresh pending window opens.
 //
+// Head images: a read-only open whose sidecar WAL holds committed pages,
+// and a follower replica applying a writer's log, see pages whose newest
+// committed bytes are in neither the pool nor the file. The manager keeps
+// one *head* image per such page. Read-only redo seeds the heads at open;
+// the follower's apply installs each WAL image with InstallHead, which
+// moves the page's previous head into the pending delta as its pre-image
+// (first touch per window wins) and stores the new bytes — no page map is
+// copied and no page is copied twice. A follower rebase clears the heads
+// once the page file holds what they held.
+//
 // A reader pins the latest published epoch E via the RAII `Snapshot`
 // handle and resolves every page/clip-run through `EpochManager`:
 //
@@ -17,12 +29,14 @@
 //     pre-images are the values at its epoch minus one, and the key being
 //     absent from older deltas means it was untouched between E and that
 //     window);
-//   * a chain miss means the key is unmodified since E — the base is
-//     correct. For pages the base is the buffer pool (copied out under the
-//     shard latch, then re-checked against the chain so a racing overwrite
-//     can never be observed torn or unrecorded); for clip runs the base is
-//     a stable table owned by the manager (write mode) or the immutable
-//     compacted clip index (read-only mode).
+//   * then the pending delta (pre-images at the published epoch), then the
+//     page's head;
+//   * a miss means the key is unmodified since E — the base is correct.
+//     For pages the base is the buffer pool (copied out under the shard
+//     latch, then re-checked against the manager so a racing overwrite
+//     can never be observed torn or unrecorded); for clip runs the base
+//     is a stable table owned by the manager (write and follow mode) or
+//     the immutable compacted clip index (read-only mode).
 //
 // Reclamation is refcount-driven and pause-free: a published delta is
 // dropped as soon as no reader pins an epoch older than it. Because deltas
@@ -30,16 +44,19 @@
 // memory free with no WAL or checkpoint interplay, and checkpoints/close
 // proceed regardless of outstanding snapshots.
 //
-// Thread safety: one mutex guards the chain, the pending delta, the view,
-// the pin table, and the base clip table. The writer captures under the
-// mutex *before* installing new bytes under the pool's shard latch, so a
-// reader that copies a frame and then re-checks the chain (in that order)
-// always sees either the old bytes or the pre-image — never a lost
-// version. Pointers returned by `FindPage`/chain clip spans stay valid
-// after the mutex is released: published deltas are immutable until
-// reclaimed, reclamation cannot touch deltas newer than a pinned epoch,
-// and the pending maps are insert-only with stable heap buffers (moving
-// the map at publish transfers, not reallocates, them).
+// Thread safety: one mutex guards the chain, the pending delta, the heads,
+// the view, the pin table, and the base clip table. The writer (or the
+// follower's applier) captures under the mutex *before* installing new
+// bytes, so a reader that copies a frame and then re-checks the manager
+// (in that order) always sees either the old bytes or the pre-image —
+// never a lost version. Pointers returned by `FindPage` for chain and
+// pending hits, and chain clip spans, stay valid after the mutex is
+// released: published deltas are immutable until reclaimed, reclamation
+// cannot touch deltas newer than a pinned epoch, and the pending maps are
+// insert-only with stable heap buffers (moving the map at publish, or a
+// head into it, transfers, not reallocates, them). Heads are replaced and
+// cleared in place, so a head hit is copied into the reader's buffer
+// under the mutex instead.
 
 #ifndef CLIPBB_RTREE_EPOCH_H_
 #define CLIPBB_RTREE_EPOCH_H_
@@ -121,13 +138,57 @@ class EpochManager {
     ++clip_runs_captured_;
   }
 
-  /// Installs the stable base clip table readers fall back to (write mode
-  /// only; open-time, before any snapshot exists). Read-only opens skip
-  /// this — their live clip index is immutable and serves as the base.
+  /// Installs the stable base clip table readers fall back to (write and
+  /// follow mode; open-time, before any snapshot exists). Read-only opens
+  /// skip this — their live clip index is immutable and serves as the
+  /// base.
   void SeedBaseClips(ClipMap base) {
     std::lock_guard<std::mutex> lock(mu_);
     base_clips_ = std::move(base);
     has_base_ = true;
+  }
+
+  // -------------------------------------------------------------- heads
+  // One applier thread (the read-only open's redo, then the follower's
+  // Refresh) mutates the heads; readers only see them through FindPage's
+  // copy.
+
+  /// Installs `bytes` (verified by the caller) as page `id`'s newest
+  /// committed image. The previous head becomes the page's pre-image in
+  /// the pending delta unless the window already captured one. A page
+  /// without a head must have had its base copy captured first.
+  void InstallHead(storage::PageId id, std::vector<std::byte> bytes) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto [it, fresh] = heads_.try_emplace(id);
+    if (!fresh) {
+      auto [pre, inserted] = pending_.pages.try_emplace(id);
+      if (inserted) {
+        pre->second = std::move(it->second);
+        pending_.bytes += pre->second.size();
+        ++pages_captured_;
+      }
+    }
+    it->second = std::move(bytes);
+  }
+
+  bool HasHead(storage::PageId id) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return heads_.contains(id);
+  }
+
+  /// Copies page `id`'s head into `dst` (one page); false when it has none.
+  bool CopyHead(storage::PageId id, std::byte* dst) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = heads_.find(id);
+    if (it == heads_.end()) return false;
+    std::memcpy(dst, it->second.data(), it->second.size());
+    return true;
+  }
+
+  /// Drops every head (a follower rebase, once the page file holds them).
+  void ClearHeads() {
+    std::lock_guard<std::mutex> lock(mu_);
+    heads_.clear();
   }
 
   /// Publishes the pending window: the accumulated pre-images become the
@@ -179,10 +240,12 @@ class EpochManager {
     ReclaimLocked();
   }
 
-  /// Page `id`'s image as of `epoch`, or nullptr when the base copy is
-  /// current. The pointer stays valid while `epoch` remains pinned.
-  const std::vector<std::byte>* FindPage(uint64_t epoch,
-                                         storage::PageId id) const {
+  /// Page `id`'s image as of `epoch`: a chain or pending pre-image (an
+  /// empty one is a tombstone — the version is lost; the pointer stays
+  /// valid while `epoch` remains pinned), else the page's head copied into
+  /// `*buf` (returns `buf`), else nullptr — the base copy is current.
+  const std::vector<std::byte>* FindPage(uint64_t epoch, storage::PageId id,
+                                         std::vector<std::byte>* buf) const {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& d : chain_) {  // oldest-first
       if (d->epoch <= epoch) continue;
@@ -192,6 +255,10 @@ class EpochManager {
     }
     if (auto it = pending_.pages.find(id); it != pending_.pages.end()) {
       return &it->second;
+    }
+    if (auto it = heads_.find(id); it != heads_.end()) {
+      buf->assign(it->second.begin(), it->second.end());
+      return buf;
     }
     return nullptr;
   }
@@ -269,6 +336,7 @@ class EpochManager {
   EpochTreeView<D> view_;  // epoch field == last published epoch
   Delta pending_;          // window being accumulated (epoch published+1)
   std::deque<std::shared_ptr<const Delta>> chain_;  // ascending by epoch
+  storage::RecoveredPageMap heads_;  // page -> newest committed image
   storage::EpochPinTable pins_;
   ClipMap base_clips_;  // node -> run at the published epoch (write mode)
   bool has_base_ = false;

@@ -102,7 +102,7 @@ struct Superblock {
   uint32_t checksum = 0;
   /// Monotonic checkpoint generation. The writer bumps it (and rewrites
   /// page 0) immediately BEFORE truncating the WAL, so a follower that
-  /// observes a new generation knows every overlay page it tailed from the
+  /// observes a new generation knows every head image it tailed from the
   /// old log is now durable in the page file and must rebase; byte offsets
   /// into the old log never alias into the regrown one. Pre-rename files
   /// read generation 0 (the field was reserved padding).

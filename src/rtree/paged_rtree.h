@@ -37,20 +37,21 @@
 //    O_RDONLY, the sidecar .wal never written), then tails the writer's
 //    log (replica/wal_tailer.h): each Refresh() scans the committed log
 //    suffix past the replica's applied LSN and applies every complete
-//    commit window — pre-images captured into the epoch chain, page
-//    images installed into a copy-on-write pool overlay, clip runs
-//    decoded into the replica's clip index — publishing exactly one
-//    epoch per committed transaction. Pinned snapshots get the same
-//    isolation as in-process readers; unpinned queries auto-pin the
-//    latest applied epoch and see fresh data within one poll interval
-//    (OpenOptions::follow_poll_ms, or explicit Refresh()). When the
-//    writer checkpoints it bumps the superblock's checkpoint generation
-//    BEFORE truncating the log; the replica detects the bump (or a
-//    shrunk log) and rebases — re-reads changed pages from the durable
-//    page file, drops its overlay, and keeps pinned epochs valid via
-//    the refcounted pre-image chain. A pinned epoch whose pre-image was
-//    lost to a racing writer write-back fails kStaleSnapshot rather
-//    than serve a torn-in-time view.
+//    commit window — each page image installed as that page's head in
+//    the epoch store (rtree/epoch.h), the previous version becoming its
+//    pre-image, clip runs decoded into the replica's clip index —
+//    publishing exactly one epoch per committed transaction. Pinned
+//    snapshots get the same isolation as in-process readers; unpinned
+//    queries auto-pin the latest applied epoch and see fresh data within
+//    one poll interval (OpenOptions::follow_poll_ms, or explicit
+//    Refresh()). When the writer checkpoints it bumps the superblock's
+//    checkpoint generation BEFORE truncating the log; the replica
+//    detects the bump (or a shrunk log) and rebases — captures every
+//    page whose durable bytes changed, brings resident frames up to the
+//    file, drops its heads, and keeps pinned epochs valid via the
+//    refcounted pre-image chain. A pinned epoch whose pre-image was lost
+//    (to a racing writer write-back, or to a failed read) fails
+//    kStaleSnapshot rather than serve a torn-in-time view.
 //
 // Query results, visit order, and logical access counts are identical to
 // the in-memory RTree running the same tree: both engines run the one
@@ -179,14 +180,15 @@ class PagedRTree {
   ///
   /// kReadOnly (the default; `variant` must be null): any sidecar WAL is
   /// redone INTO MEMORY first (a crashed writer's file opens to its last
-  /// durable commit): the committed page images build an overlay the
-  /// buffer pool consults on miss, and neither the page file nor the log
-  /// is written — the file is opened O_RDONLY, so a reader can never
-  /// clobber a live writer's pages or truncate the log that is that
-  /// writer's only durable copy (redo is idempotent; the next open just
-  /// rebuilds the overlay). Then one sequential scan loads the clip table
-  /// (when the tree is clipped) and the root's MBB; node pages stay on
-  /// disk. Physical-read counters start at zero afterwards.
+  /// durable commit): the committed page images become head images in
+  /// the epoch store, and queries then run pinned so they resolve pages
+  /// through it. Neither the page file nor the log is written — the file
+  /// is opened O_RDONLY, so a reader can never clobber a live writer's
+  /// pages or truncate the log that is that writer's only durable copy
+  /// (redo is idempotent; the next open just rebuilds the heads). Then
+  /// one sequential scan loads the clip table (when the tree is clipped)
+  /// and the root's MBB; node pages stay on disk. Physical-read counters
+  /// start at zero afterwards.
   ///
   /// kReadWrite: `variant` must be an empty tree of the file's variant
   /// (it supplies ChooseSubtree/Split behaviour and becomes the memory
@@ -221,33 +223,24 @@ class PagedRTree {
     return true;
   }
 
-  /// Follower open: a read-only open whose state then tracks the live
-  /// writer through the sidecar log. The open-time redo overlay already
-  /// reflects every committed record, so the replay cursor starts past
-  /// them; the tailer re-reading those bytes is harmless (windows at or
-  /// below the applied LSN are skipped).
+  /// Follower open: the read open, then the tail setup. Redo already
+  /// installed every committed record as a head, so the replay cursor
+  /// starts past them; the tailer re-reading those bytes is harmless
+  /// (windows at or below the applied LSN are skipped).
   bool OpenFollowImpl(const std::string& path, const OpenOptions& opts) {
-    Close();
-    if (!OpenAndRecover(path, /*writable=*/false)) return false;
-    std::vector<std::byte> page(sb_.file_page_size);
-    if (!LoadRootAndClips(&page, &clip_index_, nullptr, nullptr, nullptr)) {
-      file_.Close();
-      return false;
-    }
-    clip_index_.Compact();
-    clips_ = &clip_index_;
+    if (!OpenReadImpl(path, opts)) return false;
     follow_mode_ = true;
+    auto_pin_ = true;
     applied_lsn_ = std::max(sb_.lsn, recovery_.max_lsn);
     gen_ = sb_.checkpoint_gen;
-    FinishOpen(opts);
+    op_seq_ = std::max(sb_.last_op_seq, recovery_.last_op_seq);
     // A read racing the live writer's in-place pwrite can observe a torn
     // page; that is a transient, not a bad medium — never quarantine.
     pool_->SetQuarantineEnabled(false);
     tailer_ = std::make_unique<replica::WalTailer>(WalPathFor(path));
-    op_seq_ = std::max(sb_.last_op_seq, recovery_.last_op_seq);
-    // Queries in follow mode always run pinned, and pinned clip lookups
-    // resolve through the epoch manager — seed its base table and arm
-    // the pre-image hook exactly like the writer does for its mirror.
+    // Pinned clip lookups resolve through the epoch manager — seed its
+    // base table and arm the pre-image hook exactly like the writer does
+    // for its mirror.
     {
       typename EpochManager<D>::ClipMap base;
       clip_index_.ForEach(
@@ -262,6 +255,7 @@ class PagedRTree {
             OnClipMutate(nid, old_run);
           });
     }
+    PublishEpoch();  // the view pins now see carries the follower gate
     if (opts.follow_poll_ms > 0) {
       stop_poll_ = false;
       poll_thread_ = std::thread([this, ms = opts.follow_poll_ms] {
@@ -451,10 +445,10 @@ class PagedRTree {
     clip_index_.Clear();
     clips_ = &clip_index_;
     spill_of_.clear();
-    redo_overlay_.clear();
+    redo_images_.clear();
     tailer_.reset();
-    overlay_handle_.reset();
     follow_mode_ = false;
+    auto_pin_ = false;
     applied_lsn_ = 0;
     gen_ = 0;
     update_io_.Reset();
@@ -629,9 +623,13 @@ class PagedRTree {
         }
         continue;  // tail the post-checkpoint log in the next round
       }
-      for (const replica::WalCommitWindow& win : windows) {
+      for (replica::WalCommitWindow& win : windows) {
         if (win.commit_lsn <= applied_lsn_) continue;  // already reflected
-        ApplyWindow(win);
+        const storage::Status st = ApplyWindow(win);
+        if (!st.ok()) {
+          if (status) *status = st;
+          return false;
+        }
       }
       return true;
     }
@@ -803,15 +801,16 @@ class PagedRTree {
   //    and counters are byte-identical to the pre-snapshot engine, so an
   //    unused snapshot facility costs the hot path nothing.
   //  * SnapshotSource — a pinned epoch: shape comes from the snapshot's
-  //    frozen EpochTreeView; pages resolve through the epoch manager's
-  //    pre-image chain first, and a chain miss copies the live frame out
-  //    under the pool's shard latch and then RE-CHECKS the chain. The
-  //    writer captures a page's pre-image (manager mutex) strictly before
-  //    installing new bytes (shard latch), so a copy that raced an
-  //    install is always caught by the re-check — the reader sees either
-  //    the old bytes or the captured pre-image, never a lost version.
-  //    Nothing stays pinned: chain hits are stable heap buffers (retained
-  //    while the epoch is pinned) and misses land in the caller's buffer.
+  //    frozen EpochTreeView; pages resolve through the epoch manager
+  //    first (pre-image chain, pending delta, head image), and a miss
+  //    copies the live frame out under the pool's shard latch and then
+  //    RE-CHECKS the manager. The writer and the follower's applier
+  //    capture a page's pre-image (manager mutex) strictly before
+  //    installing new bytes, so a copy that raced an install is always
+  //    caught by the re-check — the reader sees either the old bytes or
+  //    the captured pre-image, never a lost version. Nothing stays
+  //    pinned: chain hits are stable heap buffers (retained while the
+  //    epoch is pinned); heads and misses land in the caller's buffer.
 
   template <typename Self>
   struct PageSource {
@@ -860,49 +859,46 @@ class PagedRTree {
     bool clipped() const { return snap->view().clipped; }
     const std::byte* Fetch(storage::PageId fid, storage::Status* st) {
       EpochManager<D>* m = snap->manager();
-      if (const auto* pre = m->FindPage(snap->epoch(), fid)) {
-        return Resolve(pre, fid, st);
-      }
-      storage::Status s;
-      if (!this->t->pool_->ReadPageCopy(fid, page_buf->data(), this->pin_io,
-                                        &s)) {
-        // A checksum failure on a follower's base read is a torn read
-        // racing the live writer's write-back — the same transient the
-        // LSN gate below would catch one instant later (the writer only
-        // ever installs newer LSNs). Report it as a stale pin rather
-        // than letting a racing pwrite latch the sticky I/O flag.
-        if (s.kind == storage::ErrorKind::kChecksum &&
-            snap->view().follower) {
-          s.kind = storage::ErrorKind::kStaleSnapshot;
+      const std::vector<std::byte>* img =
+          m->FindPage(snap->epoch(), fid, page_buf);
+      if (img == nullptr) {
+        storage::Status s;
+        if (!this->t->pool_->ReadPageCopy(fid, page_buf->data(),
+                                          this->pin_io, &s)) {
+          // A checksum failure on a follower's base read is a torn read
+          // racing the live writer's write-back — the same transient the
+          // LSN gate below would catch one instant later (the writer only
+          // ever installs newer LSNs). Report it as a stale pin rather
+          // than letting a racing pwrite latch the sticky I/O flag.
+          if (s.kind == storage::ErrorKind::kChecksum &&
+              snap->view().follower) {
+            s.kind = storage::ErrorKind::kStaleSnapshot;
+          }
+          *st = s;
+          return nullptr;
         }
-        *st = s;
-        return nullptr;
+        // Copy-then-recheck (see the source comment above): if the copy
+        // raced an install, this lookup finds the pre-image.
+        img = m->FindPage(snap->epoch(), fid, page_buf);
+        if (img == nullptr) img = page_buf;
       }
-      // Copy-then-recheck (see the source comment above): if the copy
-      // raced the writer's install, this lookup finds the pre-image.
-      if (const auto* pre = m->FindPage(snap->epoch(), fid)) {
-        return Resolve(pre, fid, st);
-      }
-      // Follower gate: base-file bytes stamped past the pinned view's
-      // applied LSN are the cross-process writer's future leaking
-      // through the page file — fail loudly rather than serve a
-      // torn-in-time mix. Transient: Refresh() plus a fresh pin
-      // observes that state exactly.
-      if (snap->view().follower &&
-          PageLsn(page_buf->data()) > snap->view().applied_lsn) {
+      // A tombstone (empty pre-image): the version this epoch needs was
+      // lost before it could be captured.
+      if (img->empty()) {
         *st = {storage::ErrorKind::kStaleSnapshot, fid};
         return nullptr;
       }
-      return page_buf->data();
-    }
-    /// A chain hit is authoritative — unless it is a follower tombstone
-    /// (empty image: the true pre-image was lost to a racing writer
-    /// write-back before the replica could capture it).
-    const std::byte* Resolve(const std::vector<std::byte>* pre,
-                             storage::PageId fid, storage::Status* st) {
-      if (!pre->empty()) return pre->data();
-      *st = {storage::ErrorKind::kStaleSnapshot, fid};
-      return nullptr;
+      // Follower gate on heads and base reads (chain hits are history by
+      // construction): bytes stamped past the pinned view's applied LSN
+      // are the cross-process writer's future leaking through the page
+      // file — fail loudly rather than serve a torn-in-time mix.
+      // Transient: Refresh() plus a fresh pin observes that state exactly.
+      if (img == page_buf && snap->view().follower &&
+          PageLsn(img->data()) > snap->view().applied_lsn) {
+        *st = {storage::ErrorKind::kStaleSnapshot, fid};
+        return nullptr;
+      }
+      return img->data();
     }
     void Release(int64_t) {}
     std::span<const core::ClipPoint<D>> Clips(int64_t node) {
@@ -915,9 +911,10 @@ class PagedRTree {
   };
 
   /// Runs `walk(src, scratch, &status)` over the right source: the pinned
-  /// epoch `snap` if valid, else — in follow mode — an auto-pin of the
-  /// latest applied epoch (so every page read is a latched copy and the
-  /// applier may refresh frames concurrently), else the live tree. Folds
+  /// epoch `snap` if valid, else — in follow mode, or on a read-only open
+  /// whose redo left head images — an auto-pin of the latest epoch (so
+  /// every page resolves through the epoch store and is a latched copy the
+  /// applier may refresh concurrently), else the live tree. Folds
   /// the call's physical transfers into `io` and reports a failure into
   /// `status` and the sticky io_error flag (never for kStaleSnapshot).
   template <typename WalkFn>
@@ -925,7 +922,7 @@ class PagedRTree {
               storage::Status* status, const SnapshotT* snap, WalkFn&& walk) {
     assert(open_);
     SnapshotT auto_snap;
-    if ((snap == nullptr || !snap->valid()) && follow_mode_) {
+    if ((snap == nullptr || !snap->valid()) && auto_pin_) {
       auto_snap = PinSnapshot();
       snap = &auto_snap;
     }
@@ -967,12 +964,13 @@ class PagedRTree {
   /// Opens the page file, replays any sidecar WAL (redo to the last
   /// durable commit), and validates the superblock. A writable open owns
   /// the file: redo writes the pages and truncates the log. A read-only
-  /// open owns nothing: the file opens O_RDONLY, redo lands in the
-  /// in-memory overlay (`redo_overlay_`), and the .wal stays
-  /// byte-identical (it may be a live writer's only durable copy).
+  /// open owns nothing: the file opens O_RDONLY, redo lands in memory
+  /// (`redo_images_`, verified here, the epoch store's heads after
+  /// FinishOpen), and the .wal stays byte-identical (it may be a live
+  /// writer's only durable copy).
   bool OpenAndRecover(const std::string& path, bool writable) {
     recovery_ = storage::Wal::RecoveryResult{};
-    redo_overlay_.clear();
+    redo_images_.clear();
     if (!file_.Open(path, /*create=*/false, /*page_size=*/0,
                     /*read_only=*/!writable)) {
       return false;
@@ -993,7 +991,7 @@ class PagedRTree {
     }
     if (!storage::Wal::Recover(WalPathFor(path), &file_, &recovery_,
                                /*truncate_after_replay=*/writable,
-                               writable ? nullptr : &redo_overlay_)) {
+                               writable ? nullptr : &redo_images_)) {
       file_.Close();
       return false;
     }
@@ -1002,12 +1000,12 @@ class PagedRTree {
       obs::EventLog::Global().Record(obs::EventKind::kRecoveryReplay,
                                      /*page=*/-1, /*shard=*/0,
                                      writable ? "write-mode-redo"
-                                              : "read-only-overlay",
+                                              : "read-only-heads",
                                      recovery_.pages_replayed);
     }
-    // Now the newest durable superblock is on disk (write mode) or in
-    // the overlay (read-only mode, when the log rewrote page 0).
-    if (auto it = redo_overlay_.find(0); it != redo_overlay_.end()) {
+    // Now the newest durable superblock is on disk (write mode) or among
+    // the redo images (read-only mode, when the log rewrote page 0).
+    if (auto it = redo_images_.find(0); it != redo_images_.end()) {
       std::memcpy(&sb_, it->second.data(),
                   std::min(sizeof sb_, it->second.size()));
     } else if (!file_.ReadRaw(0, &sb_, sizeof sb_)) {
@@ -1035,10 +1033,15 @@ class PagedRTree {
       }
     }
     // Pages may exist only as WAL images: write-mode redo just wrote them
-    // into the file; read-only redo holds them in the overlay, so count
-    // overlay coverage toward the effective file size.
+    // into the file; read-only redo holds them in memory, so count their
+    // coverage toward the effective file size. Each image is verified
+    // here, once, with the check a pool miss runs on file reads.
     uint64_t covered = file_.SizeBytes();
-    for (const auto& [pid, bytes] : redo_overlay_) {
+    for (const auto& [pid, bytes] : redo_images_) {
+      if (!VerifyFilePage(pid, bytes.data()).ok()) {
+        file_.Close();
+        return false;
+      }
       if (pid >= 0) {
         covered = std::max(covered,
                            (static_cast<uint64_t>(pid) + 1) *
@@ -1137,11 +1140,11 @@ class PagedRTree {
     return true;
   }
 
-  /// One full page, preferring the read-only redo overlay (newest
-  /// committed image) over the file. Write mode has an empty overlay.
+  /// One full page, preferring the read-only redo image (newest committed
+  /// bytes) over the file. Write mode has no redo images.
   bool ReadRecoveredPage(storage::PageId file_page, std::byte* buf) {
-    auto it = redo_overlay_.find(file_page);
-    if (it != redo_overlay_.end()) {
+    auto it = redo_images_.find(file_page);
+    if (it != redo_images_.end()) {
       std::memcpy(buf, it->second.data(), sb_.file_page_size);
       return true;
     }
@@ -1155,15 +1158,6 @@ class PagedRTree {
             : std::max<size_t>(16, sb_.num_section_pages / 10);
     pool_ = std::make_unique<storage::BufferPool>(
         frames, &file_, opts.pool_shards > 0 ? opts.pool_shards : 1);
-    if (!redo_overlay_.empty()) {
-      // The pool holds a shared handle to an IMMUTABLE map; the follower
-      // advances it by building a new map and swapping the handle (see
-      // BufferPool::SetReadOverlay's swap rule).
-      overlay_handle_ = std::make_shared<const storage::RecoveredPageMap>(
-          std::move(redo_overlay_));
-      redo_overlay_.clear();  // moved-from: make the state definite
-      pool_->SetReadOverlay(overlay_handle_);
-    }
     // Every miss read is verified — checksum first, then structural
     // bounds — before the frame becomes visible to any traversal.
     pool_->SetVerifier(
@@ -1173,9 +1167,17 @@ class PagedRTree {
     file_.ResetCounters();
     io_error_.store(false, std::memory_order_relaxed);
     // Fresh epoch chain at 0. Read-only mode never publishes: pins get
-    // the open-time view, every chain lookup misses, and queries fall
-    // through to the pool/clip table — pinned == unpinned by design.
+    // the open-time view, every lookup but a head misses, and queries fall
+    // through to the pool/clip table — pinned == unpinned by design. The
+    // redo images become the heads (the superblock lives in sb_), and
+    // their presence routes queries through the epoch store.
     epochs_ = std::make_shared<EpochManager<D>>(CurrentView());
+    redo_images_.erase(0);
+    auto_pin_ = !redo_images_.empty();
+    for (auto& [pid, bytes] : redo_images_) {
+      epochs_->InstallHead(pid, std::move(bytes));
+    }
+    redo_images_.clear();
     stage_buf_.assign(sb_.file_page_size, std::byte{0});
     capture_buf_.assign(sb_.file_page_size, std::byte{0});
     win_captured_.clear();
@@ -1241,31 +1243,6 @@ class PagedRTree {
       }
     }
     return false;
-  }
-
-  /// Captures the replica's currently visible image of `fid` into the
-  /// pending epoch (first-touch per window). `incoming_lsn` is the LSN
-  /// the new image will carry: visible bytes already at or past it mean
-  /// the writer's write-back outran our poll and the true pre-image is
-  /// gone — a TOMBSTONE (empty image) is captured instead, and a pinned
-  /// epoch that later needs the page fails kStaleSnapshot. Bytes that
-  /// fail their checksum (a torn read against a racing pwrite) tombstone
-  /// the same way.
-  void CaptureReplicaPreImage(storage::PageId fid, uint64_t incoming_lsn) {
-    if (fid == 0) return;  // snapshots never read the superblock page
-    if (!win_captured_.insert(fid).second) return;
-    bool from_file = false;
-    if (!pool_->ReadForCapture(fid, capture_buf_.data(), &from_file)) {
-      return;  // page born in this window: no committed pre-image exists
-    }
-    if (from_file) capture_reads_.fetch_add(1, std::memory_order_relaxed);
-    const size_t ps = sb_.file_page_size;
-    if (PageLsn(capture_buf_.data()) >= incoming_lsn ||
-        !VerifyPageChecksum(capture_buf_.data(), ps)) {
-      epochs_->CapturePage(fid, capture_buf_.data(), 0);  // tombstone
-    } else {
-      epochs_->CapturePage(fid, capture_buf_.data(), ps);
-    }
   }
 
   /// True when `run` is bit-for-bit the run the replica clip index
@@ -1361,26 +1338,27 @@ class PagedRTree {
   }
 
   /// Applies one committed transaction — one replica epoch. Order is the
-  /// writer's capture-then-install protocol, wholesale: (1) pre-images
-  /// into the pending epoch under the manager mutex, (2) the new images
-  /// become visible (copy-on-write overlay swap + resident-frame
-  /// refresh), (3) clip runs and the cached shape advance, (4) publish.
-  void ApplyWindow(const replica::WalCommitWindow& win) {
+  /// writer's capture-then-install protocol, wholesale: (1) every image is
+  /// verified, or nothing is applied; (2) pages the epoch store holds no
+  /// head for capture their pre-image from the pool or the file; (3) clip
+  /// runs and the cached shape advance; (4) each image becomes its page's
+  /// head, the previous head becoming its pre-image; (5) publish.
+  storage::Status ApplyWindow(replica::WalCommitWindow& win) {
     const auto t0 = std::chrono::steady_clock::now();
     for (const replica::WalPageImage& img : win.images) {
-      CaptureReplicaPreImage(img.page_id, img.lsn);
+      const storage::Status v = VerifyFilePage(img.page_id, img.bytes.data());
+      if (!v.ok()) return v;
     }
-    auto next =
-        overlay_handle_
-            ? std::make_shared<storage::RecoveredPageMap>(*overlay_handle_)
-            : std::make_shared<storage::RecoveredPageMap>();
     for (const replica::WalPageImage& img : win.images) {
-      (*next)[img.page_id] = img.bytes;
-    }
-    overlay_handle_ = std::move(next);
-    pool_->SetReadOverlay(overlay_handle_);
-    for (const replica::WalPageImage& img : win.images) {
-      pool_->RefreshResident(img.page_id, img.bytes.data());
+      // Snapshots never read the superblock page, and a page with a head
+      // gets its pre-image when InstallHead moves that head.
+      const storage::PageId fid = img.page_id;
+      if (fid == 0 || win_captured_.contains(fid) || epochs_->HasHead(fid)) {
+        continue;
+      }
+      // Base bytes already at or past the image's LSN: the writer's
+      // write-back outran our poll and the true pre-image is gone.
+      CaptureVisible(fid, ReadBase(fid), img.lsn - 1);
     }
     for (const replica::WalPageImage& img : win.images) {
       if (img.page_id == 0) {
@@ -1397,6 +1375,11 @@ class PagedRTree {
         break;
       }
     }
+    for (replica::WalPageImage& img : win.images) {
+      if (img.page_id != 0) {
+        epochs_->InstallHead(img.page_id, std::move(img.bytes));
+      }
+    }
     applied_lsn_ = win.commit_lsn;
     op_seq_ = win.op_seq;
     PublishEpoch();
@@ -1405,17 +1388,19 @@ class PagedRTree {
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
             .count()));
+    return {};
   }
 
   /// Resynchronizes from the page file after the writer checkpointed
   /// (generation bump / shrunk log): every section page whose durable
-  /// bytes differ from the replica's visible bytes gets its old version
-  /// captured (pinned epochs stay exact), then the superseded overlay is
-  /// dropped — the file is fully durable past a checkpoint, so it IS the
-  /// replica state — and one "jump" epoch is published. Returns false on
-  /// an unreadable page (transient while the writer is mid-write; the
-  /// next Refresh retries; no state was modified past the captures,
-  /// which are harmless duplicates on retry).
+  /// bytes differ from the replica's visible bytes (head, else frame,
+  /// else file) gets its old version captured (pinned epochs stay exact)
+  /// and every resident frame is brought up to its durable page; then the
+  /// heads are dropped — the file is fully durable past a checkpoint, so
+  /// it IS the replica state — and one "jump" epoch is published. Returns
+  /// false on an unreadable page (transient while the writer is
+  /// mid-write; the next Refresh retries; no state was modified past the
+  /// captures and frame refreshes, which are harmless on retry).
   bool Rebase(const Superblock& fsb) {
     const auto t0 = std::chrono::steady_clock::now();
     if (!serialize_internal::SuperblockSane(fsb,
@@ -1425,7 +1410,6 @@ class PagedRTree {
     const size_t ps = sb_.file_page_size;
     std::vector<std::byte> file_page(ps);
     std::vector<std::byte> root_page;
-    std::vector<std::pair<storage::PageId, std::vector<std::byte>>> changed;
     for (uint64_t p = 0; p < fsb.num_section_pages; ++p) {
       const storage::PageId fid = 1 + static_cast<int64_t>(p);
       bool read_ok = false;
@@ -1437,27 +1421,15 @@ class PagedRTree {
       if (static_cast<int64_t>(p) == fsb.root_page) {
         root_page = file_page;
       }
-      bool from_file = false;
-      const bool have_old =
-          pool_->ReadForCapture(fid, capture_buf_.data(), &from_file);
-      const bool visibly_same =
-          have_old &&
-          std::memcmp(capture_buf_.data(), file_page.data(), ps) == 0;
-      if (!visibly_same) {
-        if (have_old && win_captured_.insert(fid).second) {
-          if (from_file) {
-            capture_reads_.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (PageLsn(capture_buf_.data()) > applied_lsn_ ||
-              !VerifyPageChecksum(capture_buf_.data(), ps)) {
-            epochs_->CapturePage(fid, capture_buf_.data(), 0);  // lost
-          } else {
-            epochs_->CapturePage(fid, capture_buf_.data(), ps);
-          }
-        }
-        changed.emplace_back(fid, std::vector<std::byte>(file_page.begin(),
-                                                         file_page.end()));
+      const bool have_old = epochs_->CopyHead(fid, capture_buf_.data()) ||
+                            ReadBase(fid);
+      if (!have_old ||
+          std::memcmp(capture_buf_.data(), file_page.data(), ps) != 0) {
+        CaptureVisible(fid, have_old, applied_lsn_);
       }
+      // The invariant ApplyWindow relies on: once the heads are gone,
+      // every resident frame equals its durable file page.
+      pool_->RefreshResident(fid, file_page.data());
       // Reapply the clip run from EVERY live page, not just visibly
       // changed ones: "visibly unchanged" only means the bytes match
       // what a reader could pin right now — a page that was never
@@ -1469,11 +1441,7 @@ class PagedRTree {
       // the epoch manager's base table, never this live index.
       ApplyClipUpdate(fid, file_page.data(), ps);
     }
-    overlay_handle_.reset();
-    pool_->SetReadOverlay(nullptr);
-    for (const auto& [fid, bytes] : changed) {
-      pool_->RefreshResident(fid, bytes.data());
-    }
+    epochs_->ClearHeads();
     ApplyReplicaSuperblock(fsb);
     if (!root_page.empty()) RefreshShapeFromRoot(root_page.data());
     applied_lsn_ = fsb.lsn;
@@ -1810,21 +1778,39 @@ class PagedRTree {
   /// First-touch pre-image capture of a page leaving the live node set:
   /// old snapshots' parents may still reference it, and no later staging
   /// step sees its old bytes (the id may be recycled within this very
-  /// window). Reads the resident frame, else the file (the file copy is
-  /// current — dirty frames only leave the pool via write-back). A failed
-  /// read means the page never reached the file: it was born inside this
-  /// window, so no published epoch references it and skipping is correct.
+  /// window). Pages born in this operation have no committed pre-image.
   void CaptureFreedPage(storage::PageId id) {
-    if (!epochs_ || born_.count(id)) return;
     const storage::PageId fid = 1 + id;
-    if (win_captured_.count(fid)) return;
+    if (!epochs_ || born_.count(id) || win_captured_.contains(fid)) return;
+    CaptureVisible(fid, ReadBase(fid), UINT64_MAX);
+  }
+
+  /// Reads page `fid` as the base shows it — the resident frame, else the
+  /// page file (the file copy is current: dirty frames only leave the pool
+  /// via write-back) — into capture_buf_. File bytes must pass the same
+  /// VerifyFilePage a pool miss runs. False on a failed read or check.
+  bool ReadBase(storage::PageId fid) {
     bool from_file = false;
     if (!pool_->ReadForCapture(fid, capture_buf_.data(), &from_file)) {
-      return;
+      return false;
     }
-    if (from_file) capture_reads_.fetch_add(1, std::memory_order_relaxed);
-    epochs_->CapturePage(fid, capture_buf_.data(), sb_.file_page_size);
-    win_captured_.insert(fid);
+    if (!from_file) return true;
+    capture_reads_.fetch_add(1, std::memory_order_relaxed);
+    return VerifyFilePage(fid, capture_buf_.data()).ok();
+  }
+
+  /// The one pre-image capture of the writer, the follower's apply, and
+  /// its rebase: records capture_buf_ (`have` = it holds page `fid`'s
+  /// visible bytes) as the page's pre-image, first touch per window. A
+  /// failed read or check, or bytes stamped past `max_lsn`, capture a
+  /// TOMBSTONE (empty image) instead: a snapshot pinned before the
+  /// change then fails kStaleSnapshot on the page rather than read it
+  /// reformatted, recycled, or damaged.
+  void CaptureVisible(storage::PageId fid, bool have, uint64_t max_lsn) {
+    if (!win_captured_.insert(fid).second) return;
+    const bool keep = have && PageLsn(capture_buf_.data()) <= max_lsn;
+    epochs_->CapturePage(fid, capture_buf_.data(),
+                         keep ? sb_.file_page_size : 0);
   }
 
   /// ClipIndex pre-mutation hook (write mode): first touch of a node's
@@ -1884,20 +1870,18 @@ class PagedRTree {
   storage::PageFile file_;
   std::unique_ptr<storage::BufferPool> pool_;
   /// Open-time redo scratch: newest committed WAL images a read-only
-  /// open must not write into the file (empty in write mode). Consumed
-  /// by FinishOpen into `overlay_handle_`, the immutable shared map the
-  /// pool reads from any shard without a latch.
-  storage::RecoveredPageMap redo_overlay_;
-  /// Overlay currently attached to the pool: the committed log images at
-  /// open, advanced copy-on-write per applied window in follow mode, and
-  /// dropped wholesale at rebase (the page file is then authoritative).
-  std::shared_ptr<const storage::RecoveredPageMap> overlay_handle_;
+  /// open must not write into the file (empty in write mode). FinishOpen
+  /// moves them into the epoch store as head images.
+  storage::RecoveredPageMap redo_images_;
   Superblock sb_{};
   core::ClipIndex<D> clip_index_;  // read-only mode's clip table
   const core::ClipIndex<D>* clips_ = &clip_index_;  // active table
   RectT bounds_ = RectT::Empty();
   int height_ = 1;
   bool open_ = false;
+  /// Unpinned queries auto-pin the latest epoch (follow mode, or a
+  /// read-only open with head images; see Walk).
+  bool auto_pin_ = false;
   /// Sticky error flag; atomic — concurrent queries set it (see io_error).
   std::atomic<bool> io_error_{false};
 
@@ -1933,7 +1917,7 @@ class PagedRTree {
   /// pinned frame under the shard latch, so a concurrent snapshot reader
   /// never sees a frame mid-encode.
   std::vector<std::byte> stage_buf_;
-  std::vector<std::byte> capture_buf_;  // CaptureFreedPage read target
+  std::vector<std::byte> capture_buf_;  // ReadBase / CopyHead target
   /// File page ids whose pre-image is already in the pending epoch.
   std::unordered_set<storage::PageId> win_captured_;
   /// Node ids whose clip-run pre-image is already in the pending epoch.

@@ -121,28 +121,6 @@ bool BufferPool::Access(PageId id) {
 
 bool BufferPool::LoadFrame(Shard& s, PageId id, std::byte* dst, PinIo* io,
                            Status* status) {
-  // Pages whose newest committed image lives only in the WAL (read-only
-  // redo overlay) never touch the file. An overlay image is plain memory:
-  // re-reading it cannot change the outcome, so a verify rejection is
-  // final with no retry. The handle is grabbed once — a concurrent
-  // SetReadOverlay swap cannot change the map mid-read.
-  if (auto overlay = OverlayRef()) {
-    auto oit = overlay->find(id);
-    if (oit != overlay->end()) {
-      std::memcpy(dst, oit->second.data(), file_->page_size());
-      if (verifier_) {
-        const Status v = verifier_(id, dst);
-        if (!v.ok()) {
-          obs::EventLog::Global().Record(
-              obs::EventKind::kChecksumReject, id,
-              ShardIndexOf(shards_.size(), id), ErrorKindName(v.kind));
-          if (status) *status = v;
-          return false;
-        }
-      }
-      return true;
-    }
-  }
   Status last{ErrorKind::kIo, id};
   for (unsigned attempt = 0; attempt <= kMaxReadRetries; ++attempt) {
     if (attempt > 0) {
@@ -408,14 +386,6 @@ bool BufferPool::ReadForCapture(PageId id, std::byte* dst, bool* from_file) {
     return true;
   }
   if (from_file) *from_file = true;
-  if (auto overlay = OverlayRef()) {
-    auto oit = overlay->find(id);
-    if (oit != overlay->end()) {
-      std::memcpy(dst, oit->second.data(), file_->page_size());
-      if (from_file) *from_file = false;
-      return true;
-    }
-  }
   // Not resident: the file copy is current (dirty frames only leave the
   // pool via write-back), so a direct read is exact.
   return file_->ReadPage(id, dst);

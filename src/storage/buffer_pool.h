@@ -97,11 +97,10 @@ class BufferPool {
   };
 
   /// Miss-read validation hook: called with the freshly read frame bytes
-  /// (file read or overlay image, shard latch held) before the frame
-  /// becomes visible; a non-ok Status rejects the frame. File reads that
-  /// fail verification are retried like any transient read fault; overlay
-  /// images are in-memory and fail immediately. PagedRTree installs a
-  /// format-aware verifier (checksum + structural bounds) at open.
+  /// (shard latch held) before the frame becomes visible; a non-ok Status
+  /// rejects the frame, and the read is retried like any transient read
+  /// fault. PagedRTree installs a format-aware verifier (checksum +
+  /// structural bounds) at open.
   using PageVerifier = std::function<Status(PageId, const std::byte*)>;
 
   /// Residency-only pool; capacity = resident pages, 0 = everything
@@ -169,9 +168,10 @@ class BufferPool {
 
   /// Peeks a page's current bytes for epoch pre-image capture: copies the
   /// frame when resident (no hit/miss accounting, no LRU touch),
-  /// otherwise reads the overlay image or the file directly without
-  /// installing a frame. Sets `*from_file` to whether the bytes came from
-  /// a physical read. Returns false on read failure. Content mode only.
+  /// otherwise reads the file directly without installing a frame or
+  /// running the verifier (the caller checks what it captures). Sets
+  /// `*from_file` to whether the bytes came from a physical read. Returns
+  /// false on read failure. Content mode only.
   bool ReadForCapture(PageId id, std::byte* dst, bool* from_file = nullptr);
 
   /// Writes every dirty frame back to the file (WAL first when attached).
@@ -185,30 +185,13 @@ class BufferPool {
   /// The Wal is internally latched, so any shard may force the sync.
   void SetWal(Wal* wal) { wal_ = wal; }
 
-  /// Attaches (or swaps) the read-only redo overlay: a miss whose newest
-  /// committed contents live only in a sidecar WAL — which a read-only
-  /// open must not replay into the file — is served from the overlay
-  /// image instead of the file. Still counted as a miss/read: it is a
-  /// fault outside the pool either way.
-  ///
-  /// Swap rule (shared ownership): an attached map is IMMUTABLE. A caller
-  /// that wants to advance the overlay (the follower applier does, after
-  /// every applied commit window) builds a NEW map and swaps it in here;
-  /// in-flight reads that grabbed the old handle finish against the old
-  /// map, which the shared_ptr keeps alive until the last such read
-  /// drops it. Pass nullptr to detach.
-  void SetReadOverlay(std::shared_ptr<const RecoveredPageMap> overlay) {
-    std::lock_guard<std::mutex> lock(overlay_mu_);
-    overlay_ = std::move(overlay);
-  }
-
   /// Installs fresh contents into a page's resident frame, if any (memcpy
-  /// of one page under the shard latch). The follower applier calls this
-  /// after swapping the overlay so an already-cached frame matches the new
-  /// overlay version; a non-resident page simply misses into the new
-  /// overlay later. The caller must guarantee no thread holds a raw pin on
-  /// the page (the follower read path only takes latched copies). Returns
-  /// whether a frame was refreshed. Content mode only.
+  /// of one page under the shard latch). A follower rebase calls this so
+  /// every cached frame matches the durable file page; a non-resident page
+  /// simply misses into the file later. The caller must guarantee no
+  /// thread holds a raw pin on the page (the follower read path only takes
+  /// latched copies). Returns whether a frame was refreshed. Content mode
+  /// only.
   bool RefreshResident(PageId id, const std::byte* src);
 
   /// Enables/disables the quarantine (bounded retries still apply). A
@@ -323,8 +306,8 @@ class BufferPool {
   const Shard& ShardFor(PageId id) const;
 
   std::byte* PinImpl(PageId id, bool dirty, PinIo* io, Status* status);
-  /// The miss fetch: reads the page (or copies the overlay image), runs
-  /// the verifier, and retries transient failures. Shard latch held.
+  /// The miss fetch: reads the page, runs the verifier, and retries
+  /// transient failures. Shard latch held.
   bool LoadFrame(Shard& s, PageId id, std::byte* dst, PinIo* io,
                  Status* status);
   /// Evicts the shard's LRU unpinned frame (writing back when dirty);
@@ -340,20 +323,9 @@ class BufferPool {
 
   uint64_t Sum(uint64_t Shard::*counter) const;
 
-  /// Current overlay handle; see the SetReadOverlay swap rule. Taken once
-  /// per miss/capture so the map a read consults cannot change mid-read.
-  std::shared_ptr<const RecoveredPageMap> OverlayRef() const {
-    std::lock_guard<std::mutex> lock(overlay_mu_);
-    return overlay_;
-  }
-
   size_t capacity_;
   PageFile* file_ = nullptr;
   Wal* wal_ = nullptr;
-  /// Read-only redo images, shared with whoever published them (guarded
-  /// by overlay_mu_, a leaf lock — safe to take under a shard latch).
-  std::shared_ptr<const RecoveredPageMap> overlay_;
-  mutable std::mutex overlay_mu_;
   bool quarantine_enabled_ = true;
   PageVerifier verifier_;
   std::vector<std::unique_ptr<Shard>> shards_;

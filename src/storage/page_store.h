@@ -35,13 +35,11 @@ namespace clipbb::storage {
 using PageId = int64_t;
 inline constexpr PageId kInvalidPage = -1;
 
-/// Full-page images keyed by absolute file page index — the in-memory
-/// redo overlay a read-only open builds from a sidecar WAL it must not
-/// replay into the file (storage/wal.h Recover fills it; the BufferPool
-/// consults it on miss before touching the file). The epoch machinery
-/// (storage/epoch.h, rtree/epoch.h) generalizes the same shape into a
-/// per-epoch chain of these maps holding pre-images for pinned snapshot
-/// readers.
+/// Full-page images keyed by absolute file page index — the redo images
+/// a read-only open collects from a sidecar WAL it must not replay into
+/// the file (storage/wal.h Recover fills it). The epoch store
+/// (rtree/epoch.h) keeps the same shape as its head images and as each
+/// epoch's pre-image delta for pinned snapshot readers.
 using RecoveredPageMap = std::unordered_map<PageId, std::vector<std::byte>>;
 
 /// Sees every id-space and content mutation of a PageStore.

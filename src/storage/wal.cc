@@ -204,7 +204,7 @@ bool Wal::Truncate() {
 
 bool Wal::Recover(const std::string& wal_path, PageFile* file,
                   RecoveryResult* out, bool truncate_after_replay,
-                  RecoveredPageMap* overlay) {
+                  RecoveredPageMap* redo) {
   RecoveryResult res;
   const int fd =
       ::open(wal_path.c_str(), truncate_after_replay ? O_RDWR : O_RDONLY);
@@ -314,10 +314,10 @@ bool Wal::Recover(const std::string& wal_path, PageFile* file,
   // durable image first — the WAL rule — so unconditional replay is
   // always sound.)
   for (const Image& im : images) {
-    if (overlay != nullptr) {
+    if (redo != nullptr) {
       // Read-only redo: the newest committed image lands in memory; the
       // page file stays untouched (a live writer may own it).
-      (*overlay)[im.page_id].assign(
+      (*redo)[im.page_id].assign(
           log.begin() + static_cast<ptrdiff_t>(im.payload_off),
           log.begin() + static_cast<ptrdiff_t>(im.payload_off) +
               fh.page_size);
@@ -327,7 +327,7 @@ bool Wal::Recover(const std::string& wal_path, PageFile* file,
     }
     ++res.pages_replayed;
   }
-  if (overlay == nullptr && !file->Sync()) {
+  if (redo == nullptr && !file->Sync()) {
     ::close(fd);
     return false;
   }

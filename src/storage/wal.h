@@ -192,19 +192,20 @@ class Wal {
 
   /// Redo pass over the log at `wal_path`. Two modes:
   ///
-  ///  * Write mode (`overlay == nullptr`, the default): replays every
+  ///  * Write mode (`redo == nullptr`, the default): replays every
   ///    committed page image into `file` (open, page size set) in log
   ///    order, fsyncs it, and — with `truncate_after_replay`, the
   ///    write-mode default — empties the log so the next writer starts
   ///    clean.
-  ///  * Read-only mode (`overlay != nullptr`, pass
+  ///  * Read-only mode (`redo != nullptr`, pass
   ///    truncate_after_replay = false): touches NEITHER the page file
-  ///    NOR the log — committed images land in `*overlay` (last image
-  ///    per page wins) for the caller's buffer pool to consult on miss.
-  ///    The log may be a live writer's only durable copy of its commits,
-  ///    and the page file may be mid-checkpoint by that writer, so a
-  ///    reader must write to neither; redo is idempotent, so the next
-  ///    open just rebuilds the overlay.
+  ///    NOR the log — committed images land in `*redo` (last image per
+  ///    page wins); a read-only PagedRTree open verifies them and keeps
+  ///    them as head images in its epoch store (rtree/epoch.h). The log
+  ///    may be a live writer's only durable copy of its commits, and the
+  ///    page file may be mid-checkpoint by that writer, so a reader must
+  ///    write to neither; redo is idempotent, so the next open just
+  ///    rebuilds the images.
   ///
   /// A missing or empty log is success with log_found = false. Returns
   /// false only on real I/O failure — a torn tail is discarded, not
@@ -212,7 +213,7 @@ class Wal {
   static bool Recover(const std::string& wal_path, PageFile* file,
                       RecoveryResult* out,
                       bool truncate_after_replay = true,
-                      RecoveredPageMap* overlay = nullptr);
+                      RecoveredPageMap* redo = nullptr);
 
  private:
   int fd_ = -1;

@@ -25,6 +25,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -172,8 +173,10 @@ void RunLockstepChild(const std::string& path, Variant variant,
 }
 
 /// Lockstep drive: gate the follower at every commit boundary while a
-/// mid-stream pinned snapshot must keep answering its pin-time results
-/// bit-for-bit no matter how far the replica advances past it.
+/// rolling set of pinned snapshots (one taken every kPinEvery beats, the
+/// last kPinsKept held) must keep answering their pin-time results
+/// bit-for-bit no matter how far the replica advances past them — across
+/// repeated applies to the same pages and across checkpoint rebases.
 template <int D>
 void LockstepFollow(Variant variant, int n_items, int n_ops, uint32_t seed,
                     int checkpoint_every) {
@@ -208,11 +211,16 @@ void LockstepFollow(Variant variant, int n_items, int n_ops, uint32_t seed,
   auto ref = BuildTree<D>(variant, w.items, Domain<D>());
   ref->EnableClipping(core::ClipConfig<D>::Sta());
 
-  typename PagedRTree<D>::SnapshotT pinned;
-  std::vector<ObjectId> pinned_expect;
+  struct Pin {
+    typename PagedRTree<D>::SnapshotT snap;
+    geom::Rect<D> query;
+    std::vector<ObjectId> expect;
+    size_t at;
+  };
+  constexpr size_t kPinEvery = 4;
+  constexpr size_t kPinsKept = 3;
+  std::deque<Pin> pins;
   Rng pin_rng(seed + 1);
-  const geom::Rect<D> pin_query = RandomRect<D>(pin_rng, 0.4);
-  const size_t pin_at = w.ops.size() / 2;
 
   char beat = 0;
   for (size_t i = 0; i < w.ops.size(); ++i) {
@@ -229,24 +237,29 @@ void LockstepFollow(Variant variant, int n_items, int n_ops, uint32_t seed,
     }
     GateQueries<D>(follower, ref.get(), seed + 100 + static_cast<int>(i));
     if (::testing::Test::HasFatalFailure()) break;
-    if (i + 1 == pin_at) {
-      pinned = follower.PinSnapshot();
+    if ((i + 1) % kPinEvery == 0) {
+      Pin pin{follower.PinSnapshot(), RandomRect<D>(pin_rng, 0.4), {}, i + 1};
       storage::Status st;
-      follower.RangeQuery(pin_query, &pinned_expect, nullptr, nullptr, &st,
-                          &pinned);
-      ASSERT_TRUE(st.ok());
+      follower.RangeQuery(pin.query, &pin.expect, nullptr, nullptr, &st,
+                          &pin.snap);
+      ASSERT_TRUE(st.ok()) << st.kind_name();
+      pins.push_back(std::move(pin));
+      if (pins.size() > kPinsKept) pins.pop_front();
     }
-    if (pinned.valid()) {
+    for (Pin& pin : pins) {
       std::vector<ObjectId> again;
       storage::Status st;
-      follower.RangeQuery(pin_query, &again, nullptr, nullptr, &st, &pinned);
-      ASSERT_TRUE(st.ok()) << st.kind_name() << " after op " << i + 1;
-      ASSERT_EQ(again, pinned_expect) << "pinned epoch drifted at op "
-                                      << i + 1;
+      follower.RangeQuery(pin.query, &again, nullptr, nullptr, &st,
+                          &pin.snap);
+      ASSERT_TRUE(st.ok()) << st.kind_name() << " pin of op " << pin.at
+                           << " after op " << i + 1;
+      ASSERT_EQ(again, pin.expect)
+          << "epoch pinned at op " << pin.at << " drifted at op " << i + 1;
     }
     ASSERT_EQ(::write(ack[1], &beat, 1), 1);
   }
-  pinned.Release();
+  pins.clear();
+  EXPECT_EQ(follower.EpochChainStats().live_deltas, 0u);
   EXPECT_GT(follower.replica_windows_applied(), 0u);
   if (checkpoint_every > 0) EXPECT_GE(follower.replica_rebases(), 1u);
   EXPECT_FALSE(follower.io_error());

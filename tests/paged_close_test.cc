@@ -6,11 +6,15 @@
 //    the log is the only durable copy of the committed suffix;
 //  * a read-only open replays the sidecar WAL but leaves the file
 //    byte-identical through Open AND Close (a reader must not destroy a
-//    log that may belong to a live writer), and can never checkpoint.
+//    log that may belong to a live writer), and can never checkpoint;
+//  * that redo covers node pages: a copy of a live writer's file and log
+//    opened read-only answers every query kind, pinned or not, exactly
+//    like the writer's memory mirror.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -18,12 +22,14 @@
 
 #include "rtree/factory.h"
 #include "rtree/paged_rtree.h"
+#include "rtree/query_api.h"
 #include "storage/wal.h"
 #include "test_util.h"
 
 namespace clipbb::rtree {
 namespace {
 
+using clipbb::testing::RandomPoint;
 using clipbb::testing::RandomRect;
 
 geom::Rect<2> Domain2() {
@@ -60,8 +66,8 @@ int64_t FileSize(const std::string& path) {
   return in ? static_cast<int64_t>(in.tellg()) : -1;
 }
 
-/// A small serialized clipped tree at `path`.
-void WriteSeedTree(const std::string& path, int n = 600) {
+/// A small serialized clipped tree at `path`; returns its items.
+std::vector<Entry<2>> WriteSeedTree(const std::string& path, int n = 600) {
   Rng rng(77);
   std::vector<Entry<2>> items;
   for (int i = 0; i < n; ++i) {
@@ -69,7 +75,8 @@ void WriteSeedTree(const std::string& path, int n = 600) {
   }
   auto tree = BuildTree<2>(Variant::kHilbert, items, Domain2());
   tree->EnableClipping(core::ClipConfig<2>::Sta());
-  ASSERT_TRUE(WritePagedTree<2>(*tree, path));
+  EXPECT_TRUE(WritePagedTree<2>(*tree, path));
+  return items;
 }
 
 TEST(PagedClose, ExplicitCloseThenDestructorIsIdempotent) {
@@ -213,6 +220,90 @@ TEST(PagedClose, ReadOnlyOpenRecoversButNeverTouchesWalOrFile) {
     EXPECT_NE(FileBytes(file.path), data_bytes);  // image hit the disk
     EXPECT_TRUE(paged.Close());
   }
+}
+
+TEST(PagedClose, ReadOnlyOpenRedoesNodePagesFromWal) {
+  FileGuard file(TempPath("redo"));
+  FileGuard copy(TempPath("redo_copy"));
+  const std::vector<Entry<2>> items = WriteSeedTree(file.path, 2000);
+
+  // A live writer with committed inserts and deletes since its open and
+  // no checkpoint: the newest node pages exist only in its WAL (or, after
+  // an eviction from the small pool, also in the file).
+  PagedRTree<2> writer;
+  PagedRTree<2>::OpenOptions wopts;
+  wopts.mode = PagedRTree<2>::OpenMode::kReadWrite;
+  wopts.commit_every = 8;
+  wopts.pool_pages = 16;
+  ASSERT_TRUE(writer.Open(file.path, wopts,
+                          MakeRTree<2>(Variant::kHilbert, Domain2())));
+  Rng rng(82);
+  for (int i = 0; i < 120; ++i) {
+    ASSERT_TRUE(writer.Insert(RandomRect<2>(rng, 0.04), 50000 + i));
+    if (i % 2 == 0) {
+      const Entry<2>& e = items[static_cast<size_t>(i) * 7];
+      ASSERT_TRUE(writer.Delete(e.rect, e.id));
+    }
+  }
+  ASSERT_TRUE(writer.Commit());
+  namespace fs = std::filesystem;
+  fs::copy_file(file.path, copy.path, fs::copy_options::overwrite_existing);
+  fs::copy_file(WalPathFor(file.path), WalPathFor(copy.path),
+                fs::copy_options::overwrite_existing);
+
+  PagedRTree<2> paged;
+  ASSERT_TRUE(paged.Open(copy.path));  // read-only
+  EXPECT_GT(paged.recovery().pages_replayed, 1u);  // node pages, not just sb
+  EXPECT_EQ(paged.NumObjects(), writer.NumObjects());
+
+  const SpatialEngine<2> memory(*writer.mirror());
+  const SpatialEngine<2> disk(paged);
+  const EngineSnapshot<2> snap = disk.PinSnapshot();
+  std::vector<QuerySpec<2>> specs;
+  for (int t = 0; t < 10; ++t) {
+    const geom::Vec<2> p = RandomPoint<2>(rng);
+    const geom::Rect<2> w = RandomRect<2>(rng, 0.3);
+    specs.push_back(QuerySpec<2>::Intersects(w));
+    specs.push_back(QuerySpec<2>::ContainsPoint(p));
+    specs.push_back(QuerySpec<2>::ContainedIn(w));
+    specs.push_back(QuerySpec<2>::Encloses(RandomRect<2>(rng, 0.02)));
+    specs.push_back(QuerySpec<2>::Knn(p, 7));
+  }
+  for (const bool pinned : {false, true}) {
+    for (const QuerySpec<2>& spec : specs) {
+      SCOPED_TRACE(::testing::Message()
+                   << QueryKindName(spec.kind)
+                   << (pinned ? " pinned" : " unpinned"));
+      storage::IoStats mem_io, disk_io;
+      storage::Status st;
+      if (spec.kind == QueryKind::kKnn) {
+        std::vector<KnnNeighbor<2>> mem_nn, disk_nn;
+        KnnHeapSink<2> mem_sink(&mem_nn), disk_sink(&disk_nn);
+        memory.Execute(spec, &mem_sink, &mem_io);
+        disk.Execute(spec, &disk_sink, &disk_io, nullptr, &st,
+                     pinned ? &snap : nullptr);
+        ASSERT_EQ(mem_nn.size(), disk_nn.size());
+        for (size_t i = 0; i < mem_nn.size(); ++i) {
+          EXPECT_EQ(mem_nn[i].id, disk_nn[i].id);
+          EXPECT_EQ(mem_nn[i].dist2, disk_nn[i].dist2);
+        }
+      } else {
+        std::vector<ObjectId> mem_ids, disk_ids;
+        CollectIds<2> mem_sink(&mem_ids), disk_sink(&disk_ids);
+        memory.Execute(spec, &mem_sink, &mem_io);
+        disk.Execute(spec, &disk_sink, &disk_io, nullptr, &st,
+                     pinned ? &snap : nullptr);
+        EXPECT_EQ(mem_ids, disk_ids);
+      }
+      ASSERT_TRUE(st.ok()) << st.kind_name() << " at page " << st.page;
+      EXPECT_EQ(mem_io.leaf_accesses, disk_io.leaf_accesses);
+      EXPECT_EQ(mem_io.internal_accesses, disk_io.internal_accesses);
+      EXPECT_EQ(mem_io.clip_accesses, disk_io.clip_accesses);
+    }
+  }
+  EXPECT_FALSE(paged.io_error());
+  EXPECT_TRUE(paged.Close());
+  EXPECT_TRUE(writer.Close());
 }
 
 }  // namespace

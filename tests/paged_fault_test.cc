@@ -393,5 +393,84 @@ TEST(PagedFaultEnv, EnvConfiguredFaultNeverTruncatesSilently) {
   EXPECT_EQ(out.ok_queries + out.failed_queries, specs.size());
 }
 
+// Writer-side pre-image capture under a read fault. A page freed by a
+// delete must be captured for snapshots pinned before the free; when it
+// is not resident, the capture reads the file. A failed or bit-flipped
+// read there must capture a tombstone — the pinned query then answers
+// kStaleSnapshot — never skip the capture (the snapshot would read the
+// page reformatted as free or recycled) nor keep damaged bytes, and
+// never latch io_error: the live tree is intact.
+TEST(PagedCaptureFault, FreedPageReadFaultTombstonesPinnedEpoch) {
+  FaultGuard guard;
+  for (const storage::ReadFaultKind kind :
+       {storage::ReadFaultKind::kEio, storage::ReadFaultKind::kBitFlip}) {
+    SCOPED_TRACE(kind == storage::ReadFaultKind::kEio ? "eio" : "flip");
+    Rng rng(451);
+    std::vector<Entry<2>> items;
+    for (int i = 0; i < 3000; ++i) {
+      items.push_back(Entry<2>{RandomRect<2>(rng, 0.04), i});
+    }
+    auto tree = BuildTree<2>(Variant::kHilbert, items, Domain2());
+    tree->EnableClipping(core::ClipConfig<2>::Sta());
+    FileGuard file(TempPath("capture"));
+    ASSERT_TRUE(WritePagedTree<2>(*tree, file.path));
+
+    PagedRTree<2> paged;
+    PagedRTree<2>::OpenOptions wopts;
+    wopts.mode = PagedRTree<2>::OpenMode::kReadWrite;
+    wopts.pool_pages = 16;
+    ASSERT_TRUE(paged.Open(file.path, wopts,
+                           MakeRTree<2>(Variant::kHilbert, Domain2())));
+    const RTree<2>& mirror = *paged.mirror();
+    ASSERT_GT(mirror.Height(), 1);
+    // A leaf other than the root, trimmed to the minimum fill so that the
+    // next delete from it dissolves it and frees its page.
+    int64_t victim = mirror.root();
+    while (!mirror.NodeAt(victim).IsLeaf()) {
+      victim = mirror.NodeAt(victim).entries[0].id;
+    }
+    const size_t min_fill = static_cast<size_t>(mirror.options().min_entries);
+    while (mirror.NodeAt(victim).entries.size() > min_fill) {
+      const Entry<2> e = mirror.NodeAt(victim).entries.back();
+      ASSERT_TRUE(paged.Delete(e.rect, e.id));
+    }
+    ASSERT_TRUE(paged.Commit());
+
+    const auto snap = paged.PinSnapshot();
+    const geom::Rect<2> everything = Domain2();
+    std::vector<ObjectId> at_pin;
+    storage::Status st;
+    paged.RangeQuery(everything, &at_pin, nullptr, nullptr, &st, &snap);
+    ASSERT_TRUE(st.ok()) << st.kind_name();
+
+    // Nothing resident: the free-time capture must read the file.
+    paged.pool().Clear();
+    storage::ReadFaultArm(kind, /*nth_read=*/1, /*count=*/1,
+                          /*page_id=*/1 + victim);
+    const Entry<2> last = mirror.NodeAt(victim).entries.back();
+    ASSERT_TRUE(paged.Delete(last.rect, last.id));
+    // The only read of the freed page is its capture (a recycled id is
+    // staged without a read).
+    EXPECT_EQ(storage::ReadFaultInjected(), 1u);
+    storage::ReadFaultDisarm();
+    // Let the freed id be recycled by later inserts.
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(paged.Insert(RandomRect<2>(rng, 0.04), 10000 + i));
+    }
+    ASSERT_TRUE(paged.Commit());
+
+    std::vector<ObjectId> again;
+    st = {};
+    paged.RangeQuery(everything, &again, nullptr, nullptr, &st, &snap);
+    if (st.ok()) {
+      EXPECT_EQ(again, at_pin);
+    } else {
+      EXPECT_EQ(st.kind, storage::ErrorKind::kStaleSnapshot)
+          << st.kind_name() << " at page " << st.page;
+    }
+    EXPECT_FALSE(paged.io_error());
+  }
+}
+
 }  // namespace
 }  // namespace clipbb::rtree
