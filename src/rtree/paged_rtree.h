@@ -1191,8 +1191,12 @@ class PagedRTree {
 
   /// Miss-read verifier the pool runs under its shard latch: page 0 checks
   /// as a superblock, section pages check their header checksum and then
-  /// the structural bounds decode would rely on. Cheap relative to the
-  /// read itself (one CRC pass over the page).
+  /// the structural bounds decode would rely on. The CRC pass over the
+  /// page dominates its cost, and since it runs under the latch that cost
+  /// is also latch hold time. With the bytewise CRC a 4 KiB page took
+  /// about 14 us, ten times the ~1.4 us pread from the OS cache; the
+  /// carry-less-multiply fold (storage::Crc32) takes about 0.3 us
+  /// (4-vCPU Xeon, Release, -march=native).
   storage::Status VerifyFilePage(storage::PageId file_page,
                                  const std::byte* bytes) const {
     const size_t ps = sb_.file_page_size;

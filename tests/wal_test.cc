@@ -3,15 +3,20 @@
 // (uncommitted images are never replayed), LSN-idempotent redo, log
 // truncation at checkpoint — plus the buffer-pool WAL rule: a dirty frame
 // whose record is not durable is never written back without syncing the
-// log first.
+// log first. The Crc32 tests hold the kernel (the carry-less-multiply fold
+// in -march=native builds, the bytewise loop otherwise) to a bytewise
+// reference for every length, offset and chaining split.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstdio>
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "rtree/page_format.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
 #include "storage/wal.h"
@@ -52,6 +57,87 @@ TEST(Crc32, KnownVectorAndChaining) {
   uint32_t chained = Crc32("12345", 5);
   chained = Crc32("6789", 4, chained);
   EXPECT_EQ(chained, whole);
+}
+
+// The bytewise table loop Crc32 used before the carry-less-multiply fold
+// (and still uses for tails, short inputs and builds without PCLMULQDQ):
+// the reference every kernel must match bit for bit. Works on the raw CRC
+// register, so one pass yields the reference of every prefix.
+uint32_t ReferenceCrcStep(uint32_t reg, const unsigned char* p, size_t n) {
+  static const auto kTable = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  for (size_t i = 0; i < n; ++i) reg = kTable[(reg ^ p[i]) & 0xFF] ^ (reg >> 8);
+  return reg;
+}
+
+uint32_t ReferenceCrc32(const void* data, size_t n, uint32_t seed = 0) {
+  return ReferenceCrcStep(seed ^ 0xFFFFFFFFu,
+                          static_cast<const unsigned char*>(data), n) ^
+         0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> RandomBytes(size_t n, uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<unsigned char> v(n);
+  for (auto& b : v) b = static_cast<unsigned char>(rng());
+  return v;
+}
+
+// Every length 0..4200 (short inputs, the 64-byte fold threshold, every
+// 16-byte tail residue, whole pages and past them) at every start offset
+// within a 16-byte line, each offset with its own random seed.
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  constexpr size_t kMaxLen = 4200;
+  const std::vector<unsigned char> buf = RandomBytes(kMaxLen + 16, 7);
+  std::mt19937 rng(11);
+  for (size_t off = 0; off < 16; ++off) {
+    const uint32_t seed = static_cast<uint32_t>(rng());
+    const unsigned char* p = buf.data() + off;
+    uint32_t reg = seed ^ 0xFFFFFFFFu;  // reference register after `len` bytes
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      if (len > 0) reg = ReferenceCrcStep(reg, p + len - 1, 1);
+      ASSERT_EQ(Crc32(p, len, seed), reg ^ 0xFFFFFFFFu)
+          << "offset " << off << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, ChainingSplitAtEveryPositionOfAPage) {
+  const std::vector<unsigned char> page = RandomBytes(4096, 13);
+  const uint32_t whole = ReferenceCrc32(page.data(), page.size());
+  ASSERT_EQ(Crc32(page.data(), page.size()), whole);
+  for (size_t cut = 0; cut <= page.size(); ++cut) {
+    const uint32_t head = Crc32(page.data(), cut);
+    ASSERT_EQ(Crc32(page.data() + cut, page.size() - cut, head), whole)
+        << "split at " << cut;
+  }
+}
+
+// Stored checksums are unchanged by the kernel: a page stamped with the
+// reference verifies, and every single flipped bit (checksum field
+// included) fails verification.
+TEST(Crc32, ReferenceStampedPageVerifiesAndEveryBitFlipFails) {
+  constexpr size_t kPageSize = 4096;
+  std::vector<unsigned char> bytes = RandomBytes(kPageSize, 17);
+  std::memset(bytes.data() + rtree::kPageChecksumOffset, 0, sizeof(uint32_t));
+  const uint32_t stamp = ReferenceCrc32(bytes.data(), kPageSize);
+  std::memcpy(bytes.data() + rtree::kPageChecksumOffset, &stamp, sizeof stamp);
+  const auto* page = reinterpret_cast<const std::byte*>(bytes.data());
+  ASSERT_TRUE(rtree::VerifyPageChecksum(page, kPageSize));
+  for (size_t bit = 0; bit < kPageSize * 8; ++bit) {
+    bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    ASSERT_FALSE(rtree::VerifyPageChecksum(page, kPageSize))
+        << "flip of bit " << bit << " went undetected";
+    bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+  }
+  EXPECT_TRUE(rtree::VerifyPageChecksum(page, kPageSize));
 }
 
 TEST(Wal, CommittedImagesReplayUncommittedTailDiscards) {
