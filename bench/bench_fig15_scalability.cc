@@ -1,21 +1,25 @@
 // Fig. 15: query time on the scaled-up synthetic datasets with the index
 // larger than memory. The paper uses 2^30 objects on a 500 GB HDD; we use
 // 2^20 objects (CLIPBB_SCALE multiplies) and model the cold disk with an
-// LRU buffer pool holding 10 % of the pages. Two modes per row:
+// LRU buffer pool holding 10 % of the pages. Each tree is serialized to a
+// page file and queried disk-resident through PagedRTree, so every "page
+// read" is a physical pread through the buffer pool. Two rows per run:
 //
-//   sim    the original model — the pool only tracks residency and the
-//          bench charges a synthetic HDD latency (8 ms) per miss;
-//   paged  (with --paged) the real thing — the tree is serialized to a
-//          page file and queried disk-resident through PagedRTree, so
-//          "page reads" are physical preads through the buffer pool and
-//          the time is measured, not simulated.
+//   sim    the paper's model — a pool of max(16, nodes / 10) frames, and
+//          the time is the measured time plus a synthetic HDD latency
+//          (8 ms) per page read;
+//   paged  the engine's default pool of max(16, section pages / 10)
+//          frames and the measured time alone. The section pages include
+//          the clip-spill pages, which queries never read (the clip table
+//          is memory-resident), so on clipped trees this pool is larger
+//          than sim's and reads fewer pages.
 //
 // Reported: average per-query time for HR-tree and RR*-tree, unclipped vs
 // CSKY vs CSTA, under the paper-faithful workload schedule and the
 // Hilbert-ordered batch schedule (pool misses are order-dependent, so the
 // locality win is its own row, never mixed into the paper numbers).
 //
-// With --paged --threads=N an extra "paged-mtN" row runs the same batch
+// With --threads=N an extra "paged-mtN" row runs the same batch
 // through SpatialEngine::ExecuteBatch (rtree/query_api.h) over an
 // N-way-sharded buffer pool with N workers — the "heavy traffic, many
 // cores, disk-resident" scenario. The
@@ -35,15 +39,13 @@
 #include "obs/trace.h"
 #include "rtree/paged_rtree.h"
 #include "rtree/query_api.h"
-#include "storage/buffer_pool.h"
 
 namespace clipbb::bench {
 namespace {
 
-constexpr double kMissMillis = 8.0;  // 7200RPM-class random read
+constexpr double kReadMillis = 8.0;  // 7200RPM-class random read
 constexpr int kQueriesPerProfile = 200;
 
-bool g_paged = false;
 unsigned g_threads = 1;  // >1 adds the multithreaded paged rows
 
 // Observability ride-along, armed from the environment (CLIPBB_TRACE_*,
@@ -56,37 +58,31 @@ bool g_obs = false;
 std::unique_ptr<obs::TraceCollector> g_traces;
 rtree::EngineMetrics g_engine_metrics;
 
-/// Range query that touches the buffer pool for every node read. The
-/// caller-owned stack is reused across the batch (no per-query allocation).
+/// Totals of one serial schedule run.
+struct SerialRun {
+  storage::IoStats io;
+  size_t results = 0;
+  double ms = 0;
+};
+
+/// Runs `order` serially from a cold pool through `tree`; the per-query
+/// counts land in `counts` (indexed by query).
 template <int D>
-size_t BufferedQuery(const rtree::RTree<D>& tree, const geom::Rect<D>& q,
-                     storage::BufferPool* pool,
-                     std::vector<storage::PageId>* stack_storage) {
-  size_t found = 0;
-  std::vector<storage::PageId>& stack = *stack_storage;
-  stack.clear();
-  stack.push_back(tree.root());
-  while (!stack.empty()) {
-    const storage::PageId id = stack.back();
-    stack.pop_back();
-    pool->Access(id);
-    const auto& n = tree.NodeAt(id);
-    if (n.IsLeaf()) {
-      for (const auto& e : n.entries) {
-        if (e.rect.Intersects(q)) ++found;
-      }
-    } else {
-      for (const auto& e : n.entries) {
-        if (!e.rect.Intersects(q)) continue;
-        if (tree.clipping_enabled() &&
-            core::ClipsPruneQuery<D>(tree.clip_index().Get(e.id), q)) {
-          continue;
-        }
-        stack.push_back(e.id);
-      }
-    }
+SerialRun RunSerial(rtree::PagedRTree<D>& tree,
+                    const std::vector<geom::Rect<D>>& queries,
+                    const std::vector<uint32_t>& order,
+                    std::vector<size_t>* counts) {
+  tree.pool().Clear();
+  rtree::TraversalScratch scratch;
+  scratch.Reserve(tree.Height(), tree.max_entries());
+  SerialRun run;
+  Timer timer;
+  for (uint32_t qi : order) {
+    (*counts)[qi] = tree.RangeCount(queries[qi], &run.io, &scratch);
+    run.results += (*counts)[qi];
   }
-  return found;
+  run.ms = timer.ElapsedSeconds() * 1e3;
+  return run;
 }
 
 template <int D>
@@ -94,25 +90,27 @@ void RunTree(const std::string& dataset, const char* label,
              rtree::RTree<D>& tree,
              const std::vector<workload::QueryWorkload<D>>& profiles,
              Table* t) {
-  // One paged dump per tree configuration; every profile/schedule run
-  // below starts with a cleared (cold) pool over the same file.
+  // One paged dump per tree configuration, opened through handles that
+  // differ only in their pool. `sim` budgets 10 % of the tree's nodes,
+  // `paged` the engine default of 10 % of the section pages (see the file
+  // comment).
+  const std::string paged_path = BenchTempFile(dataset + "_fig15");
   rtree::PagedRTree<D> paged;
-  std::string paged_path;
-  if (g_paged) {
-    paged_path = BenchTempFile(dataset + "_fig15");
-    if (!rtree::WritePagedTree<D>(tree, paged_path) ||
-        !paged.Open(paged_path)) {
-      std::fprintf(stderr, "fig15: cannot write/open paged index at %s\n",
-                   paged_path.c_str());
-      std::remove(paged_path.c_str());
-      paged_path.clear();
-    }
+  rtree::PagedRTree<D> sim;
+  typename rtree::PagedRTree<D>::OpenOptions sopts;
+  sopts.pool_pages = std::max<size_t>(16, tree.NumNodes() / 10);
+  if (!rtree::WritePagedTree<D>(tree, paged_path) ||
+      !paged.Open(paged_path) || !sim.Open(paged_path, sopts)) {
+    std::fprintf(stderr, "fig15: cannot write/open paged index at %s\n",
+                 paged_path.c_str());
+    std::remove(paged_path.c_str());
+    std::exit(1);
   }
-  // Second handle for the multithreaded rows: sharded pool sized to hold
+  // Third handle for the multithreaded rows: sharded pool sized to hold
   // the whole file so physical reads are interleaving-independent (see
   // the file comment).
   rtree::PagedRTree<D> paged_mt;
-  if (!paged_path.empty() && g_threads > 1) {
+  if (g_threads > 1) {
     typename rtree::PagedRTree<D>::OpenOptions mopts;
     // Capacity is split per shard, so size every SHARD to hold the whole
     // file — hash skew across stripes must never force an eviction, or
@@ -129,72 +127,52 @@ void RunTree(const std::string& dataset, const char* label,
   for (size_t p = 0; p < profiles.size(); ++p) {
     // Warm nothing: start cold, let the pool cache hot paths like the OS
     // page cache in the paper's setup.
-    std::vector<uint32_t> input_order(profiles[p].queries.size());
+    const std::vector<geom::Rect<D>>& queries = profiles[p].queries;
+    std::vector<uint32_t> input_order(queries.size());
     std::iota(input_order.begin(), input_order.end(), 0u);
     const std::vector<uint32_t> workload_order = std::move(input_order);
     const std::vector<uint32_t> hilbert_order =
-        rtree::HilbertQueryOrder<D>(tree.bounds(), profiles[p].queries);
-    std::vector<storage::PageId> stack;
-    stack.reserve(static_cast<size_t>(tree.Height()) *
-                  static_cast<size_t>(tree.options().max_entries));
+        rtree::HilbertQueryOrder<D>(tree.bounds(), queries);
     for (const auto* sched : {&workload_order, &hilbert_order}) {
       const char* sched_name =
           sched == &workload_order ? "workload" : "hilbert";
       const std::string json_base = "fig15/" + dataset + "/" + label + "/" +
                                     workload::kQueryProfiles[p] + "/" +
                                     sched_name;
-      {
-        storage::BufferPool pool(
-            std::max<size_t>(16, tree.NumNodes() / 10));
-        Timer timer;
-        size_t results = 0;
-        for (uint32_t qi : *sched) {
-          results += BufferedQuery<D>(tree, profiles[p].queries[qi], &pool,
-                                      &stack);
-        }
-        const double cpu_s = timer.ElapsedSeconds();
-        const double total_ms =
-            cpu_s * 1e3 + static_cast<double>(pool.misses()) * kMissMillis;
+      auto add_row = [&](const std::string& mode, double ms, int decimals,
+                         const storage::IoStats& io, size_t results) {
         t->AddRow({dataset, label, workload::kQueryProfiles[p], sched_name,
-                   "sim", Table::Fixed(total_ms / kQueriesPerProfile, 1),
-                   Table::Int(static_cast<long long>(pool.misses())),
-                   Table::Int(0),
-                   Table::Fixed(static_cast<double>(results) /
-                                    kQueriesPerProfile,
-                                1)});
-        JsonPut(json_base + "/sim.misses",
-                static_cast<double>(pool.misses()));
-        JsonPut(json_base + "/sim.results", static_cast<double>(results));
-      }
-      std::vector<size_t> counts_st(profiles[p].queries.size(), 0);
-      if (!paged_path.empty()) {
-        paged.pool().Clear();  // cold start, same 10 % frame budget
-        rtree::TraversalScratch scratch;
-        scratch.Reserve(paged.Height(), paged.max_entries());
-        storage::IoStats io;
-        Timer timer;
-        size_t results = 0;
-        for (uint32_t qi : *sched) {
-          counts_st[qi] =
-              paged.RangeCount(profiles[p].queries[qi], &io, &scratch);
-          results += counts_st[qi];
-        }
-        const double total_ms = timer.ElapsedSeconds() * 1e3;
-        t->AddRow({dataset, label, workload::kQueryProfiles[p], sched_name,
-                   "paged", Table::Fixed(total_ms / kQueriesPerProfile, 3),
+                   mode, Table::Fixed(ms / kQueriesPerProfile, decimals),
                    Table::Int(static_cast<long long>(io.page_reads)),
                    Table::Int(static_cast<long long>(io.page_writes)),
                    Table::Fixed(static_cast<double>(results) /
                                     kQueriesPerProfile,
                                 1)});
-        JsonPut(json_base + "/paged.page_reads",
-                static_cast<double>(io.page_reads));
-        JsonPut(json_base + "/paged.results",
-                static_cast<double>(results));
-        JsonPut(json_base + "/paged.avg_query_ms",
-                total_ms / kQueriesPerProfile);
+      };
+      std::vector<size_t> counts_sim(queries.size(), 0);
+      const SerialRun s = RunSerial<D>(sim, queries, *sched, &counts_sim);
+      add_row("sim",
+              s.ms + static_cast<double>(s.io.page_reads) * kReadMillis, 1,
+              s.io, s.results);
+      JsonPut(json_base + "/sim.misses",
+              static_cast<double>(s.io.page_reads));
+      JsonPut(json_base + "/sim.results", static_cast<double>(s.results));
+
+      std::vector<size_t> counts_st(queries.size(), 0);
+      const SerialRun r = RunSerial<D>(paged, queries, *sched, &counts_st);
+      if (counts_st != counts_sim) {
+        std::fprintf(stderr,
+                     "fig15: sim/paged result mismatch (%s/%s/%s/%s)\n",
+                     dataset.c_str(), label, workload::kQueryProfiles[p],
+                     sched_name);
+        std::exit(1);
       }
-      if (!paged_path.empty() && g_threads > 1) {
+      add_row("paged", r.ms, 3, r.io, r.results);
+      JsonPut(json_base + "/paged.page_reads",
+              static_cast<double>(r.io.page_reads));
+      JsonPut(json_base + "/paged.results", static_cast<double>(r.results));
+      JsonPut(json_base + "/paged.avg_query_ms", r.ms / kQueriesPerProfile);
+      if (g_threads > 1) {
         const rtree::SpatialEngine<D> engine_mt(paged_mt);
         rtree::QueryBatchOptions bopts;
         bopts.hilbert_order = sched == &hilbert_order;
@@ -202,7 +180,7 @@ void RunTree(const std::string& dataset, const char* label,
         paged_mt.pool().Clear();
         bopts.threads = 1;
         const rtree::QueryBatchResult ref = engine_mt.ExecuteBatch(
-            std::span<const geom::Rect<D>>(profiles[p].queries), bopts);
+            std::span<const geom::Rect<D>>(queries), bopts);
         paged_mt.pool().Clear();
         bopts.threads = g_threads;
         if (g_obs) {
@@ -213,15 +191,13 @@ void RunTree(const std::string& dataset, const char* label,
             g_engine_metrics.queries(rtree::QueryKind::kIntersects);
         Timer timer;
         const rtree::QueryBatchResult mt = engine_mt.ExecuteBatch(
-            std::span<const geom::Rect<D>>(profiles[p].queries), bopts);
+            std::span<const geom::Rect<D>>(queries), bopts);
         const double total_ms = timer.ElapsedSeconds() * 1e3;
         engine_mt.SetMetrics(nullptr);
         engine_mt.SetTraces(nullptr);
-        size_t results = 0;
-        for (size_t qi = 0; qi < mt.counts.size(); ++qi) {
-          results += mt.counts[qi];
-        }
-        // Parity gate: same per-query counts as both single-threaded
+        const size_t results =
+            std::accumulate(mt.counts.begin(), mt.counts.end(), size_t{0});
+        // Parity gate: same per-query counts as the single-threaded
         // paths, and exactly the single-threaded physical read count.
         if (mt.counts != ref.counts || mt.counts != counts_st ||
             mt.io.page_reads != ref.io.page_reads || paged_mt.io_error()) {
@@ -268,14 +244,8 @@ void RunTree(const std::string& dataset, const char* label,
           }
           paged_mt.PublishMetrics(obs::MetricsRegistry::Global());
         }
-        t->AddRow({dataset, label, workload::kQueryProfiles[p], sched_name,
-                   "paged-mt" + std::to_string(g_threads),
-                   Table::Fixed(total_ms / kQueriesPerProfile, 3),
-                   Table::Int(static_cast<long long>(mt.io.page_reads)),
-                   Table::Int(static_cast<long long>(mt.io.page_writes)),
-                   Table::Fixed(static_cast<double>(results) /
-                                    kQueriesPerProfile,
-                                1)});
+        add_row("paged-mt" + std::to_string(g_threads), total_ms, 3, mt.io,
+                results);
         JsonPut(json_base + "/paged_mt.page_reads",
                 static_cast<double>(mt.io.page_reads));
         JsonPut(json_base + "/paged_mt.results",
@@ -285,16 +255,14 @@ void RunTree(const std::string& dataset, const char* label,
       }
     }
   }
-  if (!paged_path.empty()) {
-    if (paged.io_error()) {
-      std::fprintf(stderr,
-                   "fig15: %s/%s paged rows are partial (I/O error)\n",
-                   dataset.c_str(), label);
-    }
-    paged_mt.Close();
-    paged.Close();
-    std::remove(paged_path.c_str());
+  if (paged.io_error() || sim.io_error()) {
+    std::fprintf(stderr, "fig15: %s/%s paged rows are partial (I/O error)\n",
+                 dataset.c_str(), label);
   }
+  paged_mt.Close();
+  sim.Close();
+  paged.Close();
+  std::remove(paged_path.c_str());
 }
 
 void RunDataset(const std::string& name) {
@@ -331,10 +299,9 @@ void RunDataset(const std::string& name) {
     run_all(data3);
   }
   std::string title = "Fig 15 — scaled-up " + name +
-                      (g_paged ? " (sim: synthetic 8 ms/miss; paged: real "
-                                 "disk-resident reads)"
-                               : " (simulated cold-disk query time)");
-  if (g_paged && g_threads > 1) {
+                      " (sim: node-budget pool + synthetic 8 ms/read; "
+                      "paged: default pool, measured time)";
+  if (g_threads > 1) {
     title += " [mt rows: " + std::to_string(g_threads) +
              " workers, sharded pool, parity-gated]";
   }
@@ -389,7 +356,6 @@ bool FlushObs() {
 }  // namespace clipbb::bench
 
 int main(int argc, char** argv) {
-  clipbb::bench::g_paged = clipbb::bench::HasFlag(argc, argv, "--paged");
   const int threads =
       clipbb::bench::IntFlag(argc, argv, "--threads", 1);
   clipbb::bench::g_threads =

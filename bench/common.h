@@ -219,7 +219,7 @@ inline void JsonPutHistogram(const std::string& prefix,
 }
 
 /// Scratch file path for benches that exercise the paged storage engine
-/// (fig15/fig11 --paged). Unique per process; callers remove it when done.
+/// (fig15, fig11 --paged). Unique per process; callers remove it when done.
 inline std::string BenchTempFile(const std::string& stem) {
   const char* dir = std::getenv("TMPDIR");
   std::string path = dir && *dir ? dir : "/tmp";

@@ -34,17 +34,13 @@ uint32_t ShardIndexOf(size_t n_shards, PageId id) {
 
 }  // namespace
 
-BufferPool::BufferPool(size_t capacity) : capacity_(capacity) {
-  shards_.push_back(std::make_unique<Shard>());
-  shards_[0]->capacity = capacity;
-}
-
 BufferPool::BufferPool(size_t capacity, PageFile* file, unsigned shards)
     : capacity_(capacity), file_(file) {
+  assert(capacity >= 1 && file != nullptr);
   size_t n = shards > 0 ? shards : 1;
-  // Every shard must own at least one frame, or a stripe of a bounded
-  // pool would be unable to evict (capacity 0 means "never evict").
-  if (capacity > 0 && n > capacity) n = capacity;
+  // Every shard must own at least one frame, or a stripe of the pool
+  // would be unable to evict.
+  if (n > capacity) n = capacity;
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -52,9 +48,7 @@ BufferPool::BufferPool(size_t capacity, PageFile* file, unsigned shards)
   }
 }
 
-BufferPool::~BufferPool() {
-  if (file_) FlushAll();
-}
+BufferPool::~BufferPool() { FlushAll(); }
 
 BufferPool::Shard& BufferPool::ShardFor(PageId id) {
   if (shards_.size() == 1) return *shards_[0];
@@ -99,24 +93,6 @@ void BufferPool::MoveToFront(Shard& s, PageId id, Frame& f) {
 
 void BufferPool::NoteGrowth(Shard& s) {
   if (s.map.size() > s.high_water) s.high_water = s.map.size();
-}
-
-bool BufferPool::Access(PageId id) {
-  Shard& s = ShardFor(id);
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.map.find(id);
-  if (it != s.map.end()) {
-    ++s.hits;
-    if (it->second.in_lru) MoveToFront(s, id, it->second);
-    return true;
-  }
-  ++s.misses;
-  if (s.capacity == 0) return false;
-  if (s.map.size() >= s.capacity) EvictOne(s, nullptr);
-  Frame& f = s.map[id];
-  NoteGrowth(s);
-  MoveToFront(s, id, f);
-  return false;
 }
 
 bool BufferPool::LoadFrame(Shard& s, PageId id, std::byte* dst, PinIo* io,
@@ -176,9 +152,49 @@ bool BufferPool::LoadFrame(Shard& s, PageId id, std::byte* dst, PinIo* io,
   return false;
 }
 
+BufferPool::Frame* BufferPool::LoadMiss(Shard& s, PageId id, uint64_t t0,
+                                         PinIo* io, Status* status) {
+  if (s.quarantined.contains(id)) {
+    // Known-bad page: fail fast without touching the file, so one rotten
+    // page cannot stall every query that brushes against it.
+    if (status) *status = Status{ErrorKind::kQuarantined, id};
+    return nullptr;
+  }
+  ++s.misses;
+  if (io) ++io->reads;
+  // Evict down to capacity before adding a frame; if every frame is
+  // pinned the shard grows transiently (Unpin shrinks it back).
+  if (s.map.size() >= s.capacity) EvictOne(s, io);
+  const auto it = s.map.try_emplace(id).first;
+  NoteGrowth(s);
+  Frame& f = it->second;
+  f.data.reset(new std::byte[file_->page_size()]);
+  // The shard latch is held across the fetch, so a second thread pinning
+  // the same page waits here and then takes the hit path — the source is
+  // read exactly once per residency.
+  Status load_status;
+  const bool ok = LoadFrame(s, id, f.data.get(), io, &load_status);
+  if (!ok) {
+    s.map.erase(it);
+    // Exhausted retries (or an unretryable failure): quarantine, except
+    // for EOF — an out-of-range pin is a caller bug, not a bad page.
+    if (quarantine_enabled_ && load_status.kind != ErrorKind::kEof) {
+      s.quarantined.insert(id);
+      obs::EventLog::Global().Record(obs::EventKind::kQuarantine, id,
+                                     ShardIndexOf(shards_.size(), id),
+                                     ErrorKindName(load_status.kind));
+    }
+    if (status) *status = load_status;
+  }
+  const uint64_t dt = obs::NowNs() - t0;
+  s.pin_miss_ns.Record(dt);
+  if (io) io->miss_ns += dt;
+  return ok ? &f : nullptr;
+}
+
 std::byte* BufferPool::PinImpl(PageId id, bool dirty, PinIo* io,
                                Status* status) {
-  assert(file_ != nullptr && file_->page_size() > 0);
+  assert(file_->page_size() > 0);
   // One clock read per pin: starts before the latch, so the recorded
   // latency includes latch wait (the contention is part of what the
   // histogram is for). Recorded under the latch into plain per-shard
@@ -187,7 +203,7 @@ std::byte* BufferPool::PinImpl(PageId id, bool dirty, PinIo* io,
   Shard& s = ShardFor(id);
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.map.find(id);
-  if (it != s.map.end() && it->second.loaded) {
+  if (it != s.map.end()) {
     Frame& f = it->second;
     ++s.hits;
     if (f.in_lru) {  // pinned frames leave the LRU (never evictable)
@@ -199,55 +215,11 @@ std::byte* BufferPool::PinImpl(PageId id, bool dirty, PinIo* io,
     s.pin_hit_ns.Record(obs::NowNs() - t0);
     return f.data.get();
   }
-  if (s.quarantined.contains(id)) {
-    // Known-bad page: fail fast without touching the file, so one rotten
-    // page cannot stall every query that brushes against it.
-    if (status) *status = Status{ErrorKind::kQuarantined, id};
-    return nullptr;
-  }
-  ++s.misses;
-  if (io) ++io->reads;
-  if (it == s.map.end()) {
-    // Evict down to capacity before adding a frame; if every frame is
-    // pinned the shard grows transiently (Unpin shrinks it back).
-    if (s.capacity > 0 && s.map.size() >= s.capacity) EvictOne(s, io);
-    it = s.map.try_emplace(id).first;
-    NoteGrowth(s);
-  }
-  Frame& f = it->second;
-  if (f.in_lru) {
-    s.lru.erase(f.lru_it);
-    f.in_lru = false;
-  }
-  if (!f.data) f.data.reset(new std::byte[file_->page_size()]);
-  // The shard latch is held across the fetch, so a second thread pinning
-  // the same page waits here and then takes the hit path — the source is
-  // read exactly once per residency.
-  Status load_status;
-  if (!LoadFrame(s, id, f.data.get(), io, &load_status)) {
-    s.map.erase(it);
-    // Exhausted retries (or an unretryable failure): quarantine, except
-    // for EOF — an out-of-range pin is a caller bug, not a bad page.
-    if (quarantine_enabled_ && load_status.kind != ErrorKind::kEof) {
-      s.quarantined.insert(id);
-      obs::EventLog::Global().Record(obs::EventKind::kQuarantine, id,
-                                     ShardIndexOf(shards_.size(), id),
-                                     ErrorKindName(load_status.kind));
-    }
-    const uint64_t dt = obs::NowNs() - t0;
-    s.pin_miss_ns.Record(dt);
-    if (io) io->miss_ns += dt;
-    if (status) *status = load_status;
-    return nullptr;
-  }
-  f.loaded = true;
-  f.pins = 1;
-  f.dirty = dirty;
-  f.lsn = 0;
-  const uint64_t dt = obs::NowNs() - t0;
-  s.pin_miss_ns.Record(dt);
-  if (io) io->miss_ns += dt;
-  return f.data.get();
+  Frame* f = LoadMiss(s, id, t0, io, status);
+  if (f == nullptr) return nullptr;
+  f->pins = 1;
+  f->dirty = dirty;
+  return f->data.get();
 }
 
 const std::byte* BufferPool::Pin(PageId id, PinIo* io, Status* status) {
@@ -259,12 +231,12 @@ std::byte* BufferPool::PinForWrite(PageId id, PinIo* io, Status* status) {
 }
 
 std::byte* BufferPool::PinNew(PageId id, PinIo* io) {
-  assert(file_ != nullptr && file_->page_size() > 0);
+  assert(file_->page_size() > 0);
   Shard& s = ShardFor(id);
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.map.find(id);
   if (it == s.map.end()) {
-    if (s.capacity > 0 && s.map.size() >= s.capacity) EvictOne(s, io);
+    if (s.map.size() >= s.capacity) EvictOne(s, io);
     it = s.map.try_emplace(id).first;
     NoteGrowth(s);
   }
@@ -275,7 +247,6 @@ std::byte* BufferPool::PinNew(PageId id, PinIo* io) {
   }
   if (!f.data) f.data.reset(new std::byte[file_->page_size()]);
   std::memset(f.data.get(), 0, file_->page_size());
-  f.loaded = true;
   f.pins += 1;
   f.dirty = true;
   f.lsn = 0;
@@ -294,93 +265,56 @@ void BufferPool::Unpin(PageId id, bool dirty, uint64_t lsn, PinIo* io) {
   if (f.pins > 0 && --f.pins == 0) {
     MoveToFront(s, id, f);
     // Shrink any transient overage created while everything was pinned.
-    while (s.capacity > 0 && s.map.size() > s.capacity) {
+    while (s.map.size() > s.capacity) {
       if (!EvictOne(s, io)) break;
     }
   }
 }
 
 void BufferPool::OverwritePinned(PageId id, const std::byte* src) {
-  assert(file_ != nullptr && file_->page_size() > 0);
   Shard& s = ShardFor(id);
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.map.find(id);
-  assert(it != s.map.end() && it->second.pins > 0 && it->second.loaded);
-  if (it == s.map.end() || !it->second.data) return;
+  assert(it != s.map.end() && it->second.pins > 0);
+  if (it == s.map.end()) return;
   std::memcpy(it->second.data.get(), src, file_->page_size());
 }
 
 bool BufferPool::RefreshResident(PageId id, const std::byte* src) {
-  assert(file_ != nullptr && file_->page_size() > 0);
   Shard& s = ShardFor(id);
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.map.find(id);
-  if (it == s.map.end() || !it->second.loaded || !it->second.data) {
-    return false;
-  }
+  if (it == s.map.end()) return false;
   std::memcpy(it->second.data.get(), src, file_->page_size());
   return true;
 }
 
 bool BufferPool::ReadPageCopy(PageId id, std::byte* dst, PinIo* io,
                               Status* status) {
-  assert(file_ != nullptr && file_->page_size() > 0);
+  assert(file_->page_size() > 0);
   const uint64_t t0 = obs::NowNs();
   Shard& s = ShardFor(id);
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.map.find(id);
-  if (it != s.map.end() && it->second.loaded) {
+  if (it != s.map.end()) {
     ++s.hits;
     if (it->second.in_lru) MoveToFront(s, id, it->second);
     std::memcpy(dst, it->second.data.get(), file_->page_size());
     s.pin_hit_ns.Record(obs::NowNs() - t0);
     return true;
   }
-  if (s.quarantined.contains(id)) {
-    if (status) *status = Status{ErrorKind::kQuarantined, id};
-    return false;
-  }
-  ++s.misses;
-  if (io) ++io->reads;
-  if (it == s.map.end()) {
-    if (s.capacity > 0 && s.map.size() >= s.capacity) EvictOne(s, io);
-    it = s.map.try_emplace(id).first;
-    NoteGrowth(s);
-  }
-  Frame& f = it->second;
-  if (!f.data) f.data.reset(new std::byte[file_->page_size()]);
-  Status load_status;
-  if (!LoadFrame(s, id, f.data.get(), io, &load_status)) {
-    s.map.erase(it);
-    if (quarantine_enabled_ && load_status.kind != ErrorKind::kEof) {
-      s.quarantined.insert(id);
-      obs::EventLog::Global().Record(obs::EventKind::kQuarantine, id,
-                                     ShardIndexOf(shards_.size(), id),
-                                     ErrorKindName(load_status.kind));
-    }
-    const uint64_t dt = obs::NowNs() - t0;
-    s.pin_miss_ns.Record(dt);
-    if (io) io->miss_ns += dt;
-    if (status) *status = load_status;
-    return false;
-  }
-  f.loaded = true;
-  f.dirty = false;
-  f.lsn = 0;
-  std::memcpy(dst, f.data.get(), file_->page_size());
-  MoveToFront(s, id, f);  // enters the LRU unpinned
-  const uint64_t dt = obs::NowNs() - t0;
-  s.pin_miss_ns.Record(dt);
-  if (io) io->miss_ns += dt;
+  Frame* f = LoadMiss(s, id, t0, io, status);
+  if (f == nullptr) return false;
+  std::memcpy(dst, f->data.get(), file_->page_size());
+  MoveToFront(s, id, *f);  // enters the LRU unpinned
   return true;
 }
 
 bool BufferPool::ReadForCapture(PageId id, std::byte* dst, bool* from_file) {
-  assert(file_ != nullptr && file_->page_size() > 0);
   Shard& s = ShardFor(id);
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.map.find(id);
-  if (it != s.map.end() && it->second.loaded) {
+  if (it != s.map.end()) {
     std::memcpy(dst, it->second.data.get(), file_->page_size());
     if (from_file) *from_file = false;
     return true;
@@ -427,7 +361,7 @@ bool BufferPool::EvictOne(Shard& s, PinIo* io) {
   auto it = s.map.find(victim);
   assert(it != s.map.end());
   Frame& f = it->second;
-  if (f.dirty && f.loaded && file_) {
+  if (f.dirty) {
     // The frame is gone either way; WriteBack makes a failure observable
     // (write_failures) instead of counting it as a successful write-back.
     WriteBack(s, victim, f, io);
@@ -443,7 +377,7 @@ bool BufferPool::FlushAll() {
     Shard& s = *sp;
     std::lock_guard<std::mutex> lock(s.mu);
     for (auto& [id, f] : s.map) {
-      if (f.dirty && f.loaded && file_) {
+      if (f.dirty) {
         if (WriteBack(s, id, f, nullptr)) {
           f.dirty = false;
         } else {
@@ -572,7 +506,7 @@ void BufferPool::ResetCounters() {
 }
 
 void BufferPool::Clear() {
-  if (file_) FlushAll();
+  FlushAll();
   for (const auto& sp : shards_) {
     Shard& s = *sp;
     std::lock_guard<std::mutex> lock(s.mu);

@@ -1,15 +1,11 @@
 // Lock-striped LRU buffer pool of the paged storage engine.
 //
-// Two operating modes share one frame/LRU design:
-//
-//  * Residency mode (no backing file — the original count-only pool kept
-//    for the simulated cold-disk rows of Fig. 15): Access(id) classifies a
-//    page touch as hit or miss and maintains residency, holding no bytes.
-//  * Content mode (constructed over a PageFile): the pool owns page-sized
-//    frames. Pin(id) returns the frame bytes, reading the page from the
-//    file on a miss (possibly evicting the LRU unpinned frame, writing it
-//    back first when dirty). Pinned frames are never evicted; Unpin
-//    returns the frame to the LRU, optionally marking it dirty.
+// The pool owns page-sized frames over a PageFile. Pin(id) returns the
+// frame bytes, reading the page from the file on a miss (possibly
+// evicting the LRU unpinned frame, writing it back first when dirty).
+// Pinned frames are never evicted; Unpin returns the frame to the LRU,
+// optionally marking it dirty. ReadPageCopy is the pin-free read of the
+// snapshot and follower paths; it shares Pin's miss path.
 //
 // Concurrency: the pool is sharded into `shards` partitions, each with its
 // own mutex, LRU list, and frame map; a page's shard is fixed by a hash of
@@ -103,14 +99,11 @@ class BufferPool {
   /// structural bounds) at open.
   using PageVerifier = std::function<Status(PageId, const std::byte*)>;
 
-  /// Residency-only pool; capacity = resident pages, 0 = everything
-  /// misses. Always a single shard (the simulated rows are sequential).
-  explicit BufferPool(size_t capacity);
-
-  /// Content-holding pool over `file` (not owned; must outlive the pool).
-  /// The file's page size must be set before the first Pin. `shards` > 1
-  /// lock-stripes the pool for concurrent querying threads; it is clamped
-  /// to `capacity` so every shard owns at least one frame.
+  /// Pool of `capacity` (>= 1) frames over `file` (not owned; must
+  /// outlive the pool). The file's page size must be set before the first
+  /// Pin. `shards` > 1 lock-stripes the pool for concurrent querying
+  /// threads; it is clamped to `capacity` so every shard owns at least one
+  /// frame.
   BufferPool(size_t capacity, PageFile* file, unsigned shards = 1);
 
   ~BufferPool();
@@ -118,17 +111,14 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Residency touch; returns true on hit, false on miss (after which the
-  /// page is resident, possibly evicting the LRU page). Never reads bytes.
-  bool Access(PageId id);
-
   /// Pins a page and returns its bytes (valid until the matching Unpin).
-  /// Counts a hit when the frame is loaded, a miss (plus a file page read)
-  /// otherwise. Returns nullptr on read/verify failure, with the reason in
-  /// `*status` when given: transient faults are retried a bounded number
-  /// of times first (kMaxReadRetries, counted in PinIo::read_retries), and
-  /// a page that still fails is quarantined — later pins fast-fail with
-  /// kQuarantined and no file access until Clear(). Content mode only.
+  /// Counts a hit when the frame is resident, a miss (plus a file page
+  /// read) otherwise. Returns nullptr on read/verify failure, with the
+  /// reason in `*status` when given: transient faults are retried a
+  /// bounded number of times first (kMaxReadRetries, counted in
+  /// PinIo::read_retries), and a page that still fails is quarantined —
+  /// later pins fast-fail with kQuarantined and no file access until
+  /// Clear().
   const std::byte* Pin(PageId id, PinIo* io = nullptr,
                        Status* status = nullptr);
 
@@ -162,7 +152,7 @@ class BufferPool {
   /// rules), copies it, and leaves it unpinned in the LRU. The snapshot
   /// read path uses this — its copy, combined with a post-copy re-check
   /// of the epoch chain, is what makes pinned traversals race-free
-  /// against OverwritePinned. Content mode only.
+  /// against OverwritePinned.
   bool ReadPageCopy(PageId id, std::byte* dst, PinIo* io = nullptr,
                     Status* status = nullptr);
 
@@ -171,7 +161,7 @@ class BufferPool {
   /// otherwise reads the file directly without installing a frame or
   /// running the verifier (the caller checks what it captures). Sets
   /// `*from_file` to whether the bytes came from a physical read. Returns
-  /// false on read failure. Content mode only.
+  /// false on read failure.
   bool ReadForCapture(PageId id, std::byte* dst, bool* from_file = nullptr);
 
   /// Writes every dirty frame back to the file (WAL first when attached).
@@ -190,8 +180,7 @@ class BufferPool {
   /// every cached frame matches the durable file page; a non-resident page
   /// simply misses into the file later. The caller must guarantee no
   /// thread holds a raw pin on the page (the follower read path only takes
-  /// latched copies). Returns whether a frame was refreshed. Content mode
-  /// only.
+  /// latched copies). Returns whether a frame was refreshed.
   bool RefreshResident(PageId id, const std::byte* src);
 
   /// Enables/disables the quarantine (bounded retries still apply). A
@@ -245,10 +234,10 @@ class BufferPool {
   /// are not a single atomic cross-shard cut, same as the Sum accessors).
   std::vector<ShardCounters> PerShardCounters() const;
 
-  /// Merged pin latency distributions (hit pins / miss pins; content mode
-  /// only). Recorded under the shard latch with plain counters — the same
-  /// no-atomics discipline as the counters — and summed across shards
-  /// here. The timer starts before the latch, so latch wait is included.
+  /// Merged pin latency distributions (hit pins / miss pins). Recorded
+  /// under the shard latch with plain counters — the same no-atomics
+  /// discipline as the counters — and summed across shards here. The
+  /// timer starts before the latch, so latch wait is included.
   obs::Histogram PinHitLatency() const;
   obs::Histogram PinMissLatency() const;
 
@@ -259,8 +248,8 @@ class BufferPool {
 
   void ResetCounters();
 
-  /// Drops every frame (dirty frames are written back first in content
-  /// mode) and resets the counters.
+  /// Drops every frame (dirty frames are written back first) and resets
+  /// the counters.
   void Clear();
 
   /// Drops every frame WITHOUT write-back — dirty contents are discarded.
@@ -272,10 +261,9 @@ class BufferPool {
 
  private:
   struct Frame {
-    std::unique_ptr<std::byte[]> data;  // null in residency mode
+    std::unique_ptr<std::byte[]> data;
     uint32_t pins = 0;
     bool dirty = false;
-    bool loaded = false;
     bool in_lru = false;
     uint64_t lsn = 0;  // highest WAL LSN covering the contents
     std::list<PageId>::iterator lru_it;
@@ -306,6 +294,13 @@ class BufferPool {
   const Shard& ShardFor(PageId id) const;
 
   std::byte* PinImpl(PageId id, bool dirty, PinIo* io, Status* status);
+  /// The miss path shared by PinImpl and ReadPageCopy, shard latch held:
+  /// fast-fails a quarantined page, counts the miss, evicts down to
+  /// capacity, and loads a new frame (quarantining the page when the load
+  /// fails). Records the miss latency since `t0`. Returns the frame —
+  /// unpinned, outside the LRU — or nullptr with the reason in `*status`.
+  Frame* LoadMiss(Shard& s, PageId id, uint64_t t0, PinIo* io,
+                  Status* status);
   /// The miss fetch: reads the page, runs the verifier, and retries
   /// transient failures. Shard latch held.
   bool LoadFrame(Shard& s, PageId id, std::byte* dst, PinIo* io,
@@ -324,7 +319,7 @@ class BufferPool {
   uint64_t Sum(uint64_t Shard::*counter) const;
 
   size_t capacity_;
-  PageFile* file_ = nullptr;
+  PageFile* file_;
   Wal* wal_ = nullptr;
   bool quarantine_enabled_ = true;
   PageVerifier verifier_;

@@ -2,9 +2,10 @@
 //
 // The paper's experiments measure I/O as page-access *counts* (the trees
 // themselves are memory-resident during measurement, §V). The store keeps
-// nodes addressable by stable ids with a free list for deletions; the
-// scalability experiment layers an LRU BufferPool over the same ids to
-// model a cold disk.
+// nodes addressable by stable ids with a free list for deletions. The
+// scalability experiment (Fig. 15) models a cold disk by writing the tree
+// to a page file and querying it through the paged engine's LRU buffer
+// pool (storage/buffer_pool.h).
 //
 // Two optional hooks turn the store into the memory mirror of a paged
 // file (rtree/paged_rtree.h write mode):

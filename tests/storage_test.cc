@@ -1,8 +1,8 @@
-// Tests for the page store, the page file, and the LRU buffer pool (both
-// the residency-only mode and the content-holding pin/unpin mode with
-// dirty tracking and write-back eviction), including the lock-striped
-// sharding, the all-pinned overflow high-water accounting, and the
-// exactly-once-read guarantee under concurrent pins.
+// Tests for the page store, the page file, and the LRU buffer pool (pin/
+// unpin with dirty tracking and write-back eviction), including the
+// lock-striped sharding, the all-pinned overflow high-water accounting,
+// the exactly-once-read guarantee under concurrent pins, and the read
+// fault handling of the miss path through both of its entry points.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -82,52 +82,6 @@ TEST(PageStore, Clear) {
   EXPECT_EQ(store.Capacity(), 0u);
 }
 
-TEST(BufferPool, HitsAndMisses) {
-  BufferPool pool(2);
-  EXPECT_FALSE(pool.Access(1));  // miss
-  EXPECT_TRUE(pool.Access(1));   // hit
-  EXPECT_FALSE(pool.Access(2));  // miss
-  EXPECT_TRUE(pool.Access(2));
-  EXPECT_EQ(pool.hits(), 2u);
-  EXPECT_EQ(pool.misses(), 2u);
-}
-
-TEST(BufferPool, LruEviction) {
-  BufferPool pool(2);
-  pool.Access(1);
-  pool.Access(2);
-  pool.Access(1);           // 1 most recent
-  EXPECT_FALSE(pool.Access(3));  // evicts 2
-  EXPECT_TRUE(pool.Resident(1));
-  EXPECT_FALSE(pool.Resident(2));
-  EXPECT_TRUE(pool.Access(1));
-  EXPECT_FALSE(pool.Access(2));  // 2 was evicted -> miss
-}
-
-TEST(BufferPool, ZeroCapacityAlwaysMisses) {
-  BufferPool pool(0);
-  for (int i = 0; i < 5; ++i) EXPECT_FALSE(pool.Access(1));
-  EXPECT_EQ(pool.misses(), 5u);
-  EXPECT_EQ(pool.size(), 0u);
-}
-
-TEST(BufferPool, SizeNeverExceedsCapacity) {
-  BufferPool pool(3);
-  for (PageId p = 0; p < 100; ++p) pool.Access(p);
-  EXPECT_EQ(pool.size(), 3u);
-  EXPECT_EQ(pool.misses(), 100u);
-}
-
-TEST(BufferPool, ClearResetsEverything) {
-  BufferPool pool(4);
-  pool.Access(1);
-  pool.Access(2);
-  pool.Clear();
-  EXPECT_EQ(pool.hits(), 0u);
-  EXPECT_EQ(pool.misses(), 0u);
-  EXPECT_FALSE(pool.Resident(1));
-}
-
 TEST(PageFile, WriteReadRoundTrip) {
   FileGuard f(TempPath("roundtrip"));
   PageFile file;
@@ -204,6 +158,41 @@ TEST_F(ContentPoolTest, LruEvictionBoundsFrames) {
   EXPECT_TRUE(pool.Resident(5));
   EXPECT_TRUE(pool.Resident(4));
   EXPECT_FALSE(pool.Resident(0));
+}
+
+TEST_F(ContentPoolTest, LruEviction) {
+  BufferPool pool(2, &file_);
+  for (const int64_t p : {1, 2, 1}) {  // re-touching 1 leaves 2 the LRU
+    ASSERT_NE(pool.Pin(p), nullptr);
+    pool.Unpin(p);
+  }
+  ASSERT_NE(pool.Pin(3), nullptr);  // evicts 2, not 1
+  pool.Unpin(3);
+  EXPECT_TRUE(pool.Resident(1));
+  EXPECT_FALSE(pool.Resident(2));
+  EXPECT_EQ(pool.hits(), 1u);
+  EXPECT_EQ(pool.misses(), 3u);
+  ASSERT_NE(pool.Pin(2), nullptr);  // 2 was evicted -> miss, file read
+  pool.Unpin(2);
+  EXPECT_EQ(pool.misses(), 4u);
+  EXPECT_EQ(file_.reads(), 4u);
+}
+
+TEST_F(ContentPoolTest, ClearResetsEverything) {
+  BufferPool pool(4, &file_);
+  for (const int64_t p : {1, 2, 1}) {
+    ASSERT_NE(pool.Pin(p), nullptr);
+    pool.Unpin(p);
+  }
+  EXPECT_EQ(pool.hits(), 1u);
+  pool.Clear();
+  EXPECT_EQ(pool.hits(), 0u);
+  EXPECT_EQ(pool.misses(), 0u);
+  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_FALSE(pool.Resident(1));
+  ASSERT_NE(pool.Pin(1), nullptr);  // cold again: a miss
+  pool.Unpin(1);
+  EXPECT_EQ(pool.misses(), 1u);
 }
 
 TEST_F(ContentPoolTest, PinnedFramesAreNotEvicted) {
@@ -398,52 +387,97 @@ TEST_F(ContentPoolTest, TransientReadFaultAbsorbedByRetry) {
   }
 }
 
-TEST_F(ContentPoolTest, PersistentReadFaultQuarantinesPage) {
+/// The two entry points into the pool's one miss path: Pin (queries and
+/// the writer) and ReadPageCopy (snapshot and follower reads).
+enum class Entry { kPin, kCopy };
+
+class MissPathTest : public ContentPoolTest,
+                     public ::testing::WithParamInterface<Entry> {
+ protected:
+  /// Reads page `id` through `entry` into `out` (a pin is released at
+  /// once). False on failure, with the reason in `*status`.
+  static bool ReadVia(Entry entry, BufferPool& pool, PageId id,
+                      std::vector<std::byte>* out,
+                      BufferPool::PinIo* io = nullptr,
+                      Status* status = nullptr) {
+    if (entry == Entry::kCopy) {
+      return pool.ReadPageCopy(id, out->data(), io, status);
+    }
+    const std::byte* f = pool.Pin(id, io, status);
+    if (f == nullptr) return false;
+    std::memcpy(out->data(), f, kPage);
+    pool.Unpin(id);
+    return true;
+  }
+  bool Read(BufferPool& pool, PageId id, BufferPool::PinIo* io = nullptr,
+            Status* status = nullptr) {
+    return ReadVia(GetParam(), pool, id, &buf_, io, status);
+  }
+  std::vector<std::byte> buf_ = std::vector<std::byte>(kPage);
+};
+
+TEST_P(MissPathTest, PersistentReadFaultQuarantinesPage) {
   FaultGuard guard;
   BufferPool pool(2, &file_);
-  // More faults than attempts (1 + kMaxReadRetries): the pin must fail.
+  // More faults than attempts (1 + kMaxReadRetries): the read must fail.
   ReadFaultArm(ReadFaultKind::kEio, /*nth_read=*/1, /*count=*/100,
                /*page_id=*/5);
   BufferPool::PinIo io;
   Status status;
-  EXPECT_EQ(pool.Pin(5, &io, &status), nullptr);
+  EXPECT_FALSE(Read(pool, 5, &io, &status));
   EXPECT_EQ(status.kind, ErrorKind::kIo);
   EXPECT_EQ(status.page, 5);
   EXPECT_EQ(io.read_retries, BufferPool::kMaxReadRetries);
   EXPECT_EQ(io.reads, 1u + BufferPool::kMaxReadRetries);
   EXPECT_EQ(pool.quarantined_pages(), 1u);
 
-  // Later pins fast-fail without touching the file, even disarmed.
+  // Later reads fast-fail without touching the file, even disarmed.
   ReadFaultDisarm();
   const uint64_t reads_before = file_.reads();
   Status again;
-  EXPECT_EQ(pool.Pin(5, nullptr, &again), nullptr);
+  EXPECT_FALSE(Read(pool, 5, nullptr, &again));
   EXPECT_EQ(again.kind, ErrorKind::kQuarantined);
   EXPECT_EQ(again.page, 5);
   EXPECT_EQ(file_.reads(), reads_before);
 
   // Other pages are unaffected; Clear() gives the page another chance.
-  ASSERT_NE(pool.Pin(6), nullptr);
-  pool.Unpin(6);
+  ASSERT_TRUE(Read(pool, 6));
   pool.Clear();
   EXPECT_EQ(pool.quarantined_pages(), 0u);
-  const std::byte* f = pool.Pin(5);
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f[0], MarkedPage(5)[0]);
-  pool.Unpin(5);
+  ASSERT_TRUE(Read(pool, 5));
+  EXPECT_EQ(buf_, MarkedPage(5));
 }
 
-TEST_F(ContentPoolTest, EofPinFailsWithoutRetryOrQuarantine) {
+TEST_P(MissPathTest, QuarantineFastFailsThroughTheOtherEntryPoint) {
+  FaultGuard guard;
+  BufferPool pool(2, &file_);
+  ReadFaultArm(ReadFaultKind::kEio, /*nth_read=*/1, /*count=*/100,
+               /*page_id=*/4);
+  EXPECT_FALSE(Read(pool, 4));
+  EXPECT_EQ(pool.quarantined_pages(), 1u);
+  ReadFaultDisarm();
+  const Entry other = GetParam() == Entry::kPin ? Entry::kCopy : Entry::kPin;
+  const uint64_t reads_before = file_.reads();
+  BufferPool::PinIo io;
+  Status status;
+  EXPECT_FALSE(ReadVia(other, pool, 4, &buf_, &io, &status));
+  EXPECT_EQ(status.kind, ErrorKind::kQuarantined);
+  EXPECT_EQ(status.page, 4);
+  EXPECT_EQ(io.reads, 0u);
+  EXPECT_EQ(file_.reads(), reads_before);
+}
+
+TEST_P(MissPathTest, EofPinFailsWithoutRetryOrQuarantine) {
   BufferPool pool(2, &file_);
   BufferPool::PinIo io;
   Status status;
-  EXPECT_EQ(pool.Pin(100, &io, &status), nullptr);
+  EXPECT_FALSE(Read(pool, 100, &io, &status));
   EXPECT_EQ(status.kind, ErrorKind::kEof);
   EXPECT_EQ(io.read_retries, 0u);  // deterministic: retrying is pointless
   EXPECT_EQ(pool.quarantined_pages(), 0u);  // caller bug, not a bad page
 }
 
-TEST_F(ContentPoolTest, VerifierRejectionRetriesThenQuarantines) {
+TEST_P(MissPathTest, VerifierRejectionRetriesThenQuarantines) {
   FaultGuard guard;
   // Format-aware stand-in: every byte of a marked page equals byte 0, so
   // the mid-page bit flip the injector plants is detectable — exactly how
@@ -459,11 +493,9 @@ TEST_F(ContentPoolTest, VerifierRejectionRetriesThenQuarantines) {
   ReadFaultArm(ReadFaultKind::kBitFlip, /*nth_read=*/1, /*count=*/1);
   BufferPool::PinIo io;
   Status status;
-  const std::byte* f = pool.Pin(2, &io, &status);
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f[kPage / 2], f[0]);  // verified bytes, not the flipped ones
+  ASSERT_TRUE(Read(pool, 2, &io, &status));
+  EXPECT_EQ(buf_, MarkedPage(2));  // verified bytes, not the flipped ones
   EXPECT_EQ(io.read_retries, 1u);
-  pool.Unpin(2);
   ReadFaultDisarm();
 
   // Persistent flip: every attempt reads damaged bytes -> quarantine with
@@ -471,11 +503,17 @@ TEST_F(ContentPoolTest, VerifierRejectionRetriesThenQuarantines) {
   ReadFaultArm(ReadFaultKind::kBitFlip, /*nth_read=*/1, /*count=*/100,
                /*page_id=*/7);
   Status bad;
-  EXPECT_EQ(pool.Pin(7, nullptr, &bad), nullptr);
+  EXPECT_FALSE(Read(pool, 7, nullptr, &bad));
   EXPECT_EQ(bad.kind, ErrorKind::kChecksum);
   EXPECT_EQ(bad.page, 7);
   EXPECT_EQ(pool.quarantined_pages(), 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    BothEntryPoints, MissPathTest, ::testing::Values(Entry::kPin, Entry::kCopy),
+    [](const ::testing::TestParamInfo<Entry>& info) {
+      return info.param == Entry::kPin ? "Pin" : "ReadPageCopy";
+    });
 
 TEST_F(ContentPoolTest, CorruptStructureVerdictFailsFast) {
   // kCorruptStructure from the verifier means the checksum MATCHED but the
